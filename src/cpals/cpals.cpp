@@ -243,15 +243,9 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
   const real_t x_norm = tensor.norm();
   std::vector<real_t> lambda(rank, 1);
   Matrix mttkrp_out;
-  Matrix h;
+  Matrix h, h_inv;
   real_t prev_fit = 0;
 
-  const auto all_finite = [](const Matrix& m) {
-    const real_t* d = m.data();
-    for (std::size_t e = 0; e < m.size(); ++e)
-      if (!std::isfinite(d[e])) return false;
-    return true;
-  };
   obs::Counter& recoveries_metric = metrics.counter("cpals.recoveries");
   // Bounded restart: re-randomize the offending factor and continue the
   // sweep. Throws numeric_error once the per-run budget is spent — a
@@ -324,10 +318,13 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
       if (options.ridge > 0) {
         for (index_t d = 0; d < rank; ++d) h(d, d) += options.ridge;
       }
+      // H⁻¹ once on the R×R side (Cholesky, ridge or pseudo-inverse), then
+      // two in-place sweeps over the I×R factor. mttkrp_out stays M: the fit
+      // below reads it.
       bool update_ok = true;
       SolveInfo solve_info;
       try {
-        factors[n] = solve_normal_equations(h, mttkrp_out, &solve_info);
+        h_inv = normal_equations_inverse(h, &solve_info);
       } catch (const numeric_error&) {
         // Non-finite Gram matrix: a poisoned upstream factor (or injected
         // kernel NaN) reached H. Regularization cannot repair it — restart
@@ -339,28 +336,11 @@ CpAlsResult cp_als(const CooTensor& tensor, MttkrpEngine& engine,
       // Guard the update itself: a NaN/Inf row (e.g. a poisoned MTTKRP
       // output pushed through the solve) must not survive into the Gram
       // matrices, where it would contaminate every later mode.
-      if (update_ok && !all_finite(factors[n])) update_ok = false;
-      if (!update_ok) {
-        recover_factor(n, "non-finite factor update");
-      } else {
-        if (options.nonnegative) {
-          // Projected ALS: negative entries are infeasible for count data.
-          real_t* data = factors[n].data();
-          for (std::size_t e = 0; e < factors[n].size(); ++e)
-            if (data[e] < 0) data[e] = 0;
-        }
-        lambda = column_normalize(factors[n]);
-        // Columns that collapsed to zero would poison H; re-randomize them.
-        for (index_t r = 0; r < rank; ++r) {
-          if (lambda[r] == 0) {
-            for (index_t i = 0; i < factors[n].rows(); ++i)
-              factors[n](i, r) = rng.next_real();
-            auto norms = column_normalize(factors[n]);
-            (void)norms;
-          }
-        }
-        gram(factors[n], grams[n]);
-      }
+      if (update_ok)
+        update_ok = factor_update(mttkrp_out, h_inv, options.nonnegative, rng,
+                                  factors[n], lambda, grams[n])
+                        .finite;
+      if (!update_ok) recover_factor(n, "non-finite factor update");
       dense_t.stop();
 
       engine.factor_updated(n);

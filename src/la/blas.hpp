@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace mdcp {
@@ -15,8 +16,9 @@ void gram(const Matrix& a, Matrix& out);
 /// Returns A^T A.
 Matrix gram(const Matrix& a);
 
-/// C = A * B (dimensions must agree). Straightforward ikj loop; A is
-/// typically I×R and B is R×R in CP-ALS.
+/// C = A * B (dimensions must agree). One row of C per task, each a chain
+/// of rank-tiled axpys over B's rows; A is typically I×R and B is R×R in
+/// CP-ALS.
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& c);
 Matrix multiply(const Matrix& a, const Matrix& b);
 
@@ -29,6 +31,29 @@ Matrix hadamard_all(const std::vector<const Matrix*>& ms);
 /// Normalizes each column of `a` to unit 2-norm; returns the norms.
 /// Zero columns get norm 0 and are left untouched (caller may reinitialize).
 std::vector<real_t> column_normalize(Matrix& a);
+
+/// Outcome of factor_update.
+struct FactorUpdateInfo {
+  /// False when M·H⁻¹ had a NaN/Inf entry: `u` then holds garbage and
+  /// `lambda` and `gram_out` are unchanged.
+  bool finite = true;
+  /// Columns that collapsed to zero norm and were re-randomized.
+  index_t collapsed = 0;
+};
+
+/// The CP-ALS dense update of one factor, in place and in two sweeps over
+/// the I×R rows (fixed 2048-row blocks, bitwise identical for any thread
+/// count):
+///   1. u = M · h_inv, clamped at 0 when `nonnegative`; per-block
+///      finiteness (checked before the clamp) and squared column norms.
+///   2. u(:,r) *= 1/λ_r with λ_r = ‖u(:,r)‖, and gram_out = uᵀu.
+/// A column with λ_r = 0 keeps λ_r = 0 and is refilled from `rng` with
+/// Uniform(0,1) entries, row by row, then normalized on its own. `u` must
+/// not alias `m`; it is reallocated only when its shape differs from M's.
+/// Equals solve_normal_equations → column_normalize → gram up to rounding.
+FactorUpdateInfo factor_update(const Matrix& m, const Matrix& h_inv,
+                               bool nonnegative, Rng& rng, Matrix& u,
+                               std::vector<real_t>& lambda, Matrix& gram_out);
 
 /// <a, b> = sum_ij a_ij b_ij.
 real_t dot(const Matrix& a, const Matrix& b);

@@ -53,22 +53,23 @@ void cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows) {
   });
 }
 
-Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
-                              SolveInfo* info) {
+Matrix normal_equations_inverse(const Matrix& h, SolveInfo* info) {
   MDCP_CHECK(h.rows() == h.cols());
-  MDCP_CHECK(m.cols() == h.rows());
   SolveInfo local;
   SolveInfo& si = info != nullptr ? *info : local;
   si = SolveInfo{};
   const index_t n = h.rows();
+  // L·Lᵀ·X = I solved row by row: X = (L·Lᵀ)⁻¹.
+  const auto inverse_from_factor = [n](const Matrix& l) {
+    Matrix x(n, n, 0);
+    for (index_t i = 0; i < n; ++i) x(i, i) = 1;
+    cholesky_solve_rows(l, x);
+    return x;
+  };
 
   Matrix l = h;
   si.cholesky = cholesky_factor_status(l);
-  if (si.cholesky == CholeskyStatus::kOk) {
-    Matrix x = m;
-    cholesky_solve_rows(l, x);
-    return x;
-  }
+  if (si.cholesky == CholeskyStatus::kOk) return inverse_from_factor(l);
   if (si.cholesky == CholeskyStatus::kNanInput)
     throw numeric_error(
         "normal-equations Gram matrix contains non-finite values");
@@ -89,17 +90,20 @@ Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
       si.ridge_retries = retry;
       if (cholesky_factor_status(lr) == CholeskyStatus::kOk) {
         si.ridge_lambda = lambda;
-        Matrix x = m;
-        cholesky_solve_rows(lr, x);
-        return x;
+        return inverse_from_factor(lr);
       }
     }
   }
 
   // Last resort: the Moore–Penrose pseudo-inverse.
   si.used_pseudo_inverse = true;
-  const Matrix hp = pseudo_inverse(h);
-  return multiply(m, hp);
+  return pseudo_inverse(h);
+}
+
+Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
+                              SolveInfo* info) {
+  MDCP_CHECK(m.cols() == h.rows());
+  return multiply(m, normal_equations_inverse(h, info));
 }
 
 }  // namespace mdcp

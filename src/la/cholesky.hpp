@@ -1,14 +1,16 @@
 // Symmetric positive-(semi)definite solves for the CP-ALS normal equations.
 //
 // Each sub-iteration solves U = M · H⁺ where H = ∘_{i≠n} (Uᵢᵀ Uᵢ) is R×R and
-// symmetric PSD. We attempt a Cholesky solve first (fast path); if H is
-// merely rank-deficient we retry with an escalating ridge λ·I (standard ALS
-// practice), then fall back to the Moore–Penrose pseudo-inverse built from a
-// Jacobi eigendecomposition. A non-finite H is a distinct, unrecoverable
-// condition — no amount of regularization repairs a NaN Gram matrix — so it
-// is reported as its own status and solve_normal_equations raises a typed
-// mdcp::numeric_error that the CP-ALS recovery path converts into a factor
-// restart.
+// symmetric PSD. All the robustness lives on the R×R side: we form H⁻¹ from
+// a Cholesky factor first (fast path); if H is merely rank-deficient we
+// retry with an escalating ridge λ·I (standard ALS practice), then fall back
+// to the Moore–Penrose pseudo-inverse built from a Jacobi
+// eigendecomposition. Whichever path succeeds, the I×R work is one
+// multiplication by the returned R×R matrix. A non-finite H is a distinct,
+// unrecoverable condition — no amount of regularization repairs a NaN Gram
+// matrix — so it is reported as its own status and normal_equations_inverse
+// raises a typed mdcp::numeric_error that the CP-ALS recovery path converts
+// into a factor restart.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -47,11 +49,17 @@ struct SolveInfo {
   bool used_pseudo_inverse = false;
 };
 
-/// Computes X = M · H⁺ robustly: Cholesky when H is SPD, escalating-ridge
-/// Cholesky when it is rank-deficient, pseudo-inverse as the last resort.
-/// `h` is R×R symmetric, `m` is I×R. Returns X (I×R); fills `*info` (when
-/// given) with the path taken. Throws mdcp::numeric_error if `h` is
-/// non-finite — see CholeskyStatus::kNanInput.
+/// Returns H⁻¹ robustly: from a Cholesky factor when H is SPD, from an
+/// escalating-ridge Cholesky factor when it is rank-deficient, and the
+/// pseudo-inverse H⁺ as the last resort. `h` is R×R symmetric; fills `*info`
+/// (when given) with the path taken. All three outcomes are one R×R matrix,
+/// so the caller applies them to the I×R right-hand side the same way.
+/// Throws mdcp::numeric_error if `h` is non-finite — see
+/// CholeskyStatus::kNanInput.
+Matrix normal_equations_inverse(const Matrix& h, SolveInfo* info = nullptr);
+
+/// Computes X = M · H⁺ as M · normal_equations_inverse(h, info). `m` is I×R;
+/// returns X (I×R).
 Matrix solve_normal_equations(const Matrix& h, const Matrix& m,
                               SolveInfo* info = nullptr);
 

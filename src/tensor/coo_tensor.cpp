@@ -17,6 +17,17 @@ CooTensor::CooTensor(shape_t shape) : shape_(std::move(shape)) {
   idx_.resize(shape_.size());
 }
 
+CooTensor::CooTensor(shape_t shape, std::vector<std::vector<index_t>> indices,
+                     std::vector<real_t> values)
+    : CooTensor(std::move(shape)) {
+  MDCP_CHECK_MSG(indices.size() == shape_.size(),
+                 "got " << indices.size() << " index arrays for "
+                        << shape_.size() << " modes");
+  idx_ = std::move(indices);
+  vals_ = std::move(values);
+  validate();
+}
+
 double CooTensor::logical_size() const noexcept {
   double p = 1;
   for (index_t d : shape_) p *= static_cast<double>(d);

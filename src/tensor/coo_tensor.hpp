@@ -21,6 +21,11 @@ class CooTensor {
   /// Empty tensor with the given mode sizes.
   explicit CooTensor(shape_t shape);
 
+  /// Takes ownership of per-mode index arrays ([mode][nonzero]) and values;
+  /// throws mdcp::error if they are ragged or an index is out of range.
+  CooTensor(shape_t shape, std::vector<std::vector<index_t>> indices,
+            std::vector<real_t> values);
+
   mode_t order() const noexcept { return static_cast<mode_t>(shape_.size()); }
   nnz_t nnz() const noexcept { return vals_.size(); }
   const shape_t& shape() const noexcept { return shape_; }

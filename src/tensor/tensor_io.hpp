@@ -3,6 +3,9 @@
 // `#`-comment lines. This is the de-facto interchange format of the sparse
 // tensor community (SPLATT, ParTI, FROSTT all read it).
 //
+// Numbers are written as the shortest decimal that strtod reads back to the
+// same double (std::to_chars), so a written file round-trips exactly.
+//
 // Parsing is field-checked: non-numeric tokens, non-integral or out-of-range
 // indices (anything that does not fit index_t), inconsistent arity, and
 // truncated records raise a line-numbered mdcp::parse_error in strict mode
@@ -14,6 +17,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "la/matrix.hpp"
 #include "tensor/coo_tensor.hpp"
 
 namespace mdcp {
@@ -46,9 +50,18 @@ CooTensor read_tns_file(const std::string& path, const shape_t& shape_hint = {},
                         const TnsReadOptions& opts = {},
                         TnsReadStats* stats = nullptr);
 
-/// Writes the tensor in .tns format (1-based indices).
+/// Writes the tensor in .tns format (1-based indices). Throws mdcp::error
+/// if the stream fails.
 void write_tns(std::ostream& out, const CooTensor& tensor);
 
+/// write_tns to a file; throws mdcp::error naming `path` if opening,
+/// writing or closing it fails.
 void write_tns_file(const std::string& path, const CooTensor& tensor);
+
+/// Writes `m` as text, one row per line, entries separated by one space.
+/// Rows are formatted in parallel into bounded per-thread buffers and
+/// written in order, so the bytes do not depend on the thread count. Throws
+/// mdcp::error naming `path` if opening, writing or closing it fails.
+void write_matrix_file(const std::string& path, const Matrix& m);
 
 }  // namespace mdcp

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eigen.hpp"
 #include "la/matrix.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mdcp {
@@ -214,6 +217,186 @@ TEST(Cholesky, NormalEquationsSingularFallback) {
   const Matrix x = solve_normal_equations(h, m);
   // For this H and M, M·H⁺ = [[0.5, 0.5], ...] and X·H = M exactly.
   EXPECT_LT(Matrix::max_abs_diff(multiply(x, h), m), 1e-9);
+}
+
+// --- factor_update: the fused in-place dense update -------------------------
+
+// What factor_update replaces: solve, clamp, normalize (re-randomizing
+// collapsed columns), Gram — each a separate pass.
+struct Reference {
+  Matrix u;
+  std::vector<real_t> lambda;
+  Matrix gram;
+};
+
+Reference reference_update(const Matrix& m, const Matrix& h, bool nonnegative,
+                           Rng& rng) {
+  Reference ref;
+  ref.u = solve_normal_equations(h, m);
+  if (nonnegative)
+    for (index_t i = 0; i < ref.u.rows(); ++i)
+      for (index_t j = 0; j < ref.u.cols(); ++j)
+        ref.u(i, j) = std::max<real_t>(ref.u(i, j), 0);
+  ref.lambda = column_normalize(ref.u);
+  for (index_t j = 0; j < ref.u.cols(); ++j) {
+    if (ref.lambda[j] != 0) continue;
+    for (index_t i = 0; i < ref.u.rows(); ++i) ref.u(i, j) = rng.next_real();
+    column_normalize(ref.u);
+  }
+  ref.gram = gram(ref.u);
+  return ref;
+}
+
+real_t max_abs(const Matrix& a) {
+  real_t v = 0;
+  for (std::size_t e = 0; e < a.size(); ++e) v = std::max(v, std::abs(a.data()[e]));
+  return v;
+}
+
+// Relative agreement to 1e-12 of u, λ and the Gram, plus equal RNG use.
+void expect_matches_reference(const Matrix& m, const Matrix& h,
+                              bool nonnegative, index_t collapsed) {
+  Rng ref_rng(99), rng(99);
+  const Reference ref = reference_update(m, h, nonnegative, ref_rng);
+  Matrix u(m.rows(), m.cols()), g;
+  std::vector<real_t> lambda;
+  const FactorUpdateInfo info = factor_update(
+      m, normal_equations_inverse(h), nonnegative, rng, u, lambda, g);
+  ASSERT_TRUE(info.finite);
+  EXPECT_EQ(info.collapsed, collapsed);
+  EXPECT_LE(Matrix::max_abs_diff(u, ref.u), 1e-12 * max_abs(ref.u));
+  EXPECT_LE(Matrix::max_abs_diff(g, ref.gram), 1e-12 * max_abs(ref.gram));
+  ASSERT_EQ(lambda.size(), ref.lambda.size());
+  for (std::size_t j = 0; j < lambda.size(); ++j)
+    EXPECT_NEAR(lambda[j], ref.lambda[j], 1e-12 * ref.lambda[j]) << j;
+  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64()) << "RNG draws differ";
+}
+
+Matrix spd(index_t r, Rng& rng) {
+  Matrix h = gram(Matrix::random_normal(3 * r, r, rng));
+  for (index_t i = 0; i < r; ++i) h(i, i) += 0.1;
+  return h;
+}
+
+// 5000 rows: two full 2048-row blocks and a partial one.
+constexpr index_t kRows = 5000;
+
+TEST(FactorUpdate, MatchesReferenceOnSpdH) {
+  Rng rng(21);
+  for (index_t r : {3, 16, 20}) {
+    const Matrix h = spd(r, rng);
+    SolveInfo info;
+    normal_equations_inverse(h, &info);
+    ASSERT_EQ(info.ridge_retries, 0);
+    expect_matches_reference(Matrix::random_normal(kRows, r, rng), h, false, 0);
+  }
+}
+
+TEST(FactorUpdate, MatchesReferenceOnRidgeRetryH) {
+  // The all-ones matrix is singular with a positive trace: the first ridge
+  // makes it SPD.
+  const index_t r = 16;
+  const Matrix h(r, r, 1);
+  SolveInfo info;
+  normal_equations_inverse(h, &info);
+  ASSERT_GE(info.ridge_retries, 1);
+  ASSERT_FALSE(info.used_pseudo_inverse);
+  Rng rng(22);
+  expect_matches_reference(Matrix::random_normal(kRows, r, rng), h, false, 0);
+}
+
+TEST(FactorUpdate, MatchesReferenceOnPseudoInverseH) {
+  // Indefinite: no ridge of up to 1e-6 × the mean diagonal repairs a -1.
+  const index_t r = 8;
+  Matrix h(r, r, 0);
+  for (index_t i = 0; i < r; ++i) h(i, i) = i == 2 ? -1.0 : 2.0 + i;
+  SolveInfo info;
+  normal_equations_inverse(h, &info);
+  ASSERT_TRUE(info.used_pseudo_inverse);
+  Rng rng(23);
+  expect_matches_reference(Matrix::random_normal(kRows, r, rng), h, false, 0);
+}
+
+TEST(FactorUpdate, NonnegativeClampsBeforeNormalizing) {
+  Rng rng(24);
+  const index_t r = 12;
+  expect_matches_reference(Matrix::random_normal(kRows, r, rng), spd(r, rng),
+                           true, 0);
+}
+
+TEST(FactorUpdate, ZeroColumnIsReRandomized) {
+  const index_t r = 10;
+  Rng rng(25);
+  Matrix m = Matrix::random_normal(kRows, r, rng);
+  for (index_t i = 0; i < kRows; ++i) m(i, 4) = 0;
+  Matrix h(r, r, 0);  // diagonal: a zero column of M stays zero in M·H⁻¹
+  for (index_t i = 0; i < r; ++i) h(i, i) = 1 + i;
+  expect_matches_reference(m, h, false, 1);
+
+  Matrix u, g;
+  std::vector<real_t> lambda;
+  Rng draw(3);
+  factor_update(m, normal_equations_inverse(h), false, draw, u, lambda, g);
+  EXPECT_EQ(lambda[4], 0);  // λ stays 0; the column is a fresh unit vector
+  EXPECT_NEAR(g(4, 4), 1.0, 1e-12);
+}
+
+TEST(FactorUpdate, NanRowReportsNonFiniteAndLeavesOutputs) {
+  const index_t r = 8;
+  Rng rng(26);
+  Matrix m = Matrix::random_normal(kRows, r, rng);
+  m(3000, 5) = std::numeric_limits<real_t>::quiet_NaN();
+  Matrix u, g(r, r, 7);
+  std::vector<real_t> lambda(r, 7);
+  const FactorUpdateInfo info =
+      factor_update(m, normal_equations_inverse(spd(r, rng)), false, rng, u,
+                    lambda, g);
+  EXPECT_FALSE(info.finite);
+  EXPECT_EQ(lambda, std::vector<real_t>(r, 7));
+  EXPECT_EQ(g, Matrix(r, r, 7));
+}
+
+TEST(FactorUpdate, NegativeInfinityIsCaughtBeforeTheClamp) {
+  const index_t r = 8;
+  Rng rng(27);
+  Matrix m = Matrix::random_uniform(100, r, rng);
+  m(10, 0) = -std::numeric_limits<real_t>::infinity();
+  // A positive H⁻¹ turns the whole row into -inf, which the clamp would
+  // silently make 0.
+  const Matrix h_inv(r, r, 1);
+  Matrix u, g;
+  std::vector<real_t> lambda;
+  EXPECT_FALSE(factor_update(m, h_inv, true, rng, u, lambda, g).finite);
+}
+
+TEST(FactorUpdate, InPlaceAndBitwiseAcrossThreadCounts) {
+  const index_t r = 16;
+  Rng rng(28);
+  const Matrix m = Matrix::random_normal(3 * 2048 + 77, r, rng);
+  const Matrix h_inv = normal_equations_inverse(spd(r, rng));
+  const int saved = num_threads();
+  std::vector<Matrix> us, gs;
+  std::vector<std::vector<real_t>> lambdas;
+  for (int threads : {1, 2, 4}) {
+    set_num_threads(threads);
+    Rng draw(5);
+    Matrix u(m.rows(), r), g;
+    std::vector<real_t> lambda;
+    const real_t* before = u.data();
+    ASSERT_TRUE(factor_update(m, h_inv, false, draw, u, lambda, g).finite);
+    EXPECT_EQ(u.data(), before) << "factor was reallocated";
+    us.push_back(u);
+    gs.push_back(g);
+    lambdas.push_back(lambda);
+  }
+  set_num_threads(saved);
+  for (std::size_t k = 1; k < us.size(); ++k) {
+    EXPECT_EQ(us[k], us[0]);
+    EXPECT_EQ(gs[k], gs[0]);
+    EXPECT_EQ(lambdas[k], lambdas[0]);
+  }
+  for (index_t j = 0; j < r; ++j)
+    for (index_t k = 0; k < r; ++k) EXPECT_EQ(gs[0](j, k), gs[0](k, j));
 }
 
 }  // namespace

@@ -256,19 +256,6 @@ int cmd_tune(const Args& args) {
   return 0;
 }
 
-void write_factor(const std::string& path, const Matrix& f) {
-  std::ofstream os(path);
-  MDCP_CHECK_MSG(os.good(), "cannot write " << path);
-  os.precision(17);
-  for (index_t i = 0; i < f.rows(); ++i) {
-    for (index_t r = 0; r < f.cols(); ++r) {
-      if (r) os << ' ';
-      os << f(i, r);
-    }
-    os << '\n';
-  }
-}
-
 int cmd_decompose(const Args& args) {
   if (args.positional().empty()) usage("decompose needs a tensor file");
   const CooTensor t = read_input(args, args.positional()[0]);
@@ -455,14 +442,18 @@ int cmd_decompose(const Args& args) {
 
   const std::string prefix = args.get("out-prefix");
   if (!prefix.empty()) {
-    {
-      std::ofstream os(prefix + ".lambda");
-      os.precision(17);
-      for (real_t w : result.model.weights) os << w << '\n';
+    try {
+      const auto& weights = result.model.weights;
+      Matrix lambda(static_cast<index_t>(weights.size()), 1);
+      std::copy(weights.begin(), weights.end(), lambda.data());
+      write_matrix_file(prefix + ".lambda", lambda);
+      for (mdcp::mode_t m = 0; m < t.order(); ++m)
+        write_matrix_file(prefix + ".U" + std::to_string(m),
+                          result.model.factors[m]);
+    } catch (const mdcp::error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
     }
-    for (mdcp::mode_t m = 0; m < t.order(); ++m)
-      write_factor(prefix + ".U" + std::to_string(m),
-                   result.model.factors[m]);
     std::printf("wrote %s.lambda and %s.U0..U%u\n", prefix.c_str(),
                 prefix.c_str(), t.order() - 1);
   }
