@@ -1,12 +1,61 @@
 #include "dtree/symbolic.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "dtree/dimension_tree.hpp"
 #include "util/error.hpp"
 
 namespace mdcp {
+
+namespace {
+
+// Tuple ids [0, n) ordered lexicographically by (keys[0][i], keys[1][i],
+// ...), ties kept in id order. This is a stable LSD radix sort: one
+// counting pass per 16-bit digit, the last key first and the low digit
+// first. Stability carries each pass's order into the next, so the result
+// equals a comparator stable_sort. The high-digit pass runs only for a key
+// whose largest value exceeds 65535, each histogram is only as wide as the
+// digit's range, and a pass whose digit is the same for every id is skipped
+// (it would not move anything).
+std::vector<nnz_t> sort_by_key(std::span<const std::span<const index_t>> keys,
+                               nnz_t n) {
+  constexpr int kDigitBits = 16;
+  constexpr index_t kDigitMask = (index_t{1} << kDigitBits) - 1;
+  std::vector<nnz_t> perm(n);
+  std::iota(perm.begin(), perm.end(), nnz_t{0});
+  if (n < 2) return perm;
+  std::vector<nnz_t> next(n);
+  std::vector<std::uint16_t> digit(n);
+  std::vector<nnz_t> count;
+  for (std::size_t k = keys.size(); k-- > 0;) {
+    const index_t* const key = keys[k].data();
+    const index_t top = *std::max_element(key, key + n);
+    const int passes = top > kDigitMask ? 2 : 1;
+    for (int pass = 0; pass < passes; ++pass) {
+      const int shift = pass * kDigitBits;
+      const std::size_t buckets =
+          std::min<std::size_t>(std::size_t{top >> shift}, kDigitMask) + 1;
+      count.assign(buckets + 1, 0);
+      for (nnz_t i = 0; i < n; ++i) {
+        const auto d =
+            static_cast<std::uint16_t>((key[perm[i]] >> shift) & kDigitMask);
+        digit[i] = d;
+        ++count[std::size_t{d} + 1];
+      }
+      if (count[std::size_t{digit[0]} + 1] == n) continue;
+      for (std::size_t b = 1; b <= buckets; ++b) count[b] += count[b - 1];
+      for (nnz_t i = 0; i < n; ++i) next[count[digit[i]]++] = perm[i];
+      perm.swap(next);
+    }
+  }
+  return perm;
+}
+
+}  // namespace
 
 void build_symbolic(DimensionTree& tree) {
   // BFS order guarantees each parent is finalized before its children.
@@ -23,14 +72,7 @@ void build_symbolic(DimensionTree& tree) {
     for (mode_t m : n.modes) keys.push_back(tree.node_mode_index(parent, m));
 
     // Sort parent tuple ids by the projected key.
-    std::vector<nnz_t> perm(pcount);
-    std::iota(perm.begin(), perm.end(), nnz_t{0});
-    std::stable_sort(perm.begin(), perm.end(), [&](nnz_t a, nnz_t b) {
-      for (const auto& k : keys) {
-        if (k[a] != k[b]) return k[a] < k[b];
-      }
-      return false;
-    });
+    std::vector<nnz_t> perm = sort_by_key(keys, pcount);
 
     const auto same_key = [&](nnz_t a, nnz_t b) {
       for (const auto& k : keys)

@@ -22,12 +22,17 @@ namespace mdcp {
 std::uint64_t projection_hash(const CooTensor& t, nnz_t i, mode_set_t modes,
                               std::uint64_t seed = 0x9e3779b9ULL);
 
-/// Exact distinct-projection count via hashing + sort. (Collisions would
-/// undercount with probability ~nnz²/2⁶⁴ — negligible at any realistic size.)
+/// Exact count of distinct projection_hash values: the hashes are bucketed
+/// by their top bits and each bucket is sorted and counted on its own, in
+/// parallel above kMinParallelWork nonzeros. The result does not depend on
+/// the thread count. (Collisions would undercount with probability
+/// ~nnz²/2⁶⁴ — negligible at any realistic size.)
 nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes);
 
 /// KMV estimate of the distinct-projection count using the k smallest
-/// distinct hashes: D ≈ (k−1)·2⁶⁴ / h_(k). Relative error ~1/√k.
+/// distinct hashes: D ≈ (k−1)·2⁶⁴ / h_(k). Relative error ~1/√k. Chunks
+/// are scanned in parallel and merged; the estimate does not depend on the
+/// thread count.
 nnz_t kmv_distinct_projections(const CooTensor& t, mode_set_t modes,
                                unsigned k = 1024,
                                std::uint64_t seed = 0x9e3779b9ULL);

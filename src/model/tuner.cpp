@@ -66,14 +66,17 @@ bool apply_history_overlay(const CooTensor& tensor, index_t rank,
 TunerReport select_strategy(const CooTensor& tensor, index_t rank,
                             std::size_t memory_budget_bytes,
                             const CostModelParams& params,
-                            const TunerOptions& options) {
+                            const TunerOptions& options,
+                            ProjectionCounter* counter) {
   MDCP_CHECK(rank > 0);
   MDCP_TRACE_SPAN("tuner.select", "rank", static_cast<std::int64_t>(rank));
-  ProjectionCounter counter(tensor);
+  ProjectionCounter local(tensor);
+  if (counter == nullptr) counter = &local;
   TunerReport report;
-  for (auto& strat : enumerate_strategies(tensor, &counter)) {
+  for (auto& strat : enumerate_strategies(tensor, counter)) {
     RankedStrategy rs;
-    rs.prediction = predict_strategy(tensor, strat.spec, rank, counter, params);
+    rs.prediction =
+        predict_strategy(tensor, strat.spec, rank, *counter, params);
     rs.fits_budget = memory_budget_bytes == 0 ||
                      rs.prediction.total_memory_bytes() <= memory_budget_bytes;
     rs.strategy = std::move(strat);
@@ -112,10 +115,11 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
                                    std::size_t memory_budget_bytes,
                                    const CostModelParams& params,
                                    int shortlist, KernelContext ctx,
-                                   const TunerOptions& options) {
+                                   const TunerOptions& options,
+                                   ProjectionCounter* counter) {
   MDCP_CHECK(shortlist > 0);
-  TunerReport report =
-      select_strategy(tensor, rank, memory_budget_bytes, params, options);
+  TunerReport report = select_strategy(tensor, rank, memory_budget_bytes,
+                                       params, options, counter);
   const std::size_t history_choice =
       std::string_view(report.plan_source) == "history" ? report.chosen
                                                         : report.ranked.size();
@@ -220,12 +224,15 @@ void AutoEngine::do_prepare(index_t rank) {
   // Predict under the thread budget the kernels will actually run with, so
   // the privatization memory/flop terms participate in strategy ranking.
   if (params_.threads <= 1) params_.threads = effective_threads();
+  // One counter for the tuner and the chain: the chain's footprints reuse
+  // the subsets the tuner already counted.
+  ProjectionCounter counter(tensor());
   report_ = probed_ ? select_strategy_probed(tensor(), rank,
                                              memory_budget_bytes_, params_,
                                              shortlist_, inner_ctx,
-                                             tuner_options_)
+                                             tuner_options_, &counter)
                     : select_strategy(tensor(), rank, memory_budget_bytes_,
-                                      params_, tuner_options_);
+                                      params_, tuner_options_, &counter);
   record_plan_source(report_.plan_source);
   const auto& win = report_.winner();
   const char* prefix = probed_ ? "auto+probe:" : "auto:";
@@ -244,7 +251,6 @@ void AutoEngine::do_prepare(index_t rank) {
   chain_.push_back(std::move(head));
 
   if (memory_budget_bytes_ != 0) {
-    ProjectionCounter counter(tensor());
     for (const char* fallback : {"alto", "ttv-chain", "csf", "coo"}) {
       ChainEntry e;
       e.engine = fallback;
@@ -264,6 +270,7 @@ void AutoEngine::do_prepare(index_t rank) {
       chain_.push_back(std::move(e));
     }
   }
+  projection_passes_ = counter.passes();
 
   // Start at the first level the model predicts in budget, recording every
   // skip. If no level fits, run the last (cheapest) one anyway — the arena

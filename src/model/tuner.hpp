@@ -68,10 +68,14 @@ struct DegradationEvent {
 /// Ranks all candidate strategies for `tensor` at `rank`.
 /// `memory_budget_bytes` bounds symbolic + peak value memory (0 = unlimited);
 /// if nothing fits, the minimum-memory strategy is chosen and flagged.
+/// A caller that needs more projection counts afterwards (the AutoEngine's
+/// degradation chain) passes its own `counter` so no subset is counted
+/// twice; null counts with a counter local to the call.
 TunerReport select_strategy(const CooTensor& tensor, index_t rank,
                             std::size_t memory_budget_bytes = 0,
                             const CostModelParams& params = {},
-                            const TunerOptions& options = {});
+                            const TunerOptions& options = {},
+                            ProjectionCounter* counter = nullptr);
 
 /// Hybrid model+probe selection: the analytic model shortlists the
 /// `shortlist` budget-feasible candidates, one real MTTKRP sweep of each is
@@ -84,7 +88,8 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
                                    std::size_t memory_budget_bytes = 0,
                                    const CostModelParams& params = {},
                                    int shortlist = 3, KernelContext ctx = {},
-                                   const TunerOptions& options = {});
+                                   const TunerOptions& options = {},
+                                   ProjectionCounter* counter = nullptr);
 
 /// MTTKRP engine whose strategy is chosen by the tuner at prepare() time.
 /// prepare(tensor, rank) runs the model (rank > 0 required — the prediction
@@ -139,6 +144,9 @@ class AutoEngine final : public MttkrpEngine {
   const std::vector<DegradationEvent>& degradation_events() const noexcept {
     return degradations_;
   }
+  /// Distinct-projection passes the last prepare() made: the tuner's and
+  /// the degradation chain's together, which share one ProjectionCounter.
+  std::size_t projection_passes() const noexcept { return projection_passes_; }
 
  protected:
   void do_prepare(index_t rank) override;
@@ -161,6 +169,7 @@ class AutoEngine final : public MttkrpEngine {
   std::size_t chain_pos_ = 0;
   std::vector<DegradationEvent> degradations_;
   std::size_t retired_peak_bytes_ = 0;  ///< peaks of degraded-away engines
+  std::size_t projection_passes_ = 0;
   std::unique_ptr<MttkrpEngine> inner_;
 };
 

@@ -85,6 +85,36 @@ void parallel_for_dynamic(nnz_t n, Fn&& fn, nnz_t grain = 64) {
   }
 }
 
+/// Elements below which a linear setup pass (the sketch's projection
+/// counts) runs serially: waking a team costs more than it saves there, and
+/// under a loaded host every extra region is a chance to wait out a
+/// descheduled thread.
+inline constexpr nnz_t kMinParallelWork = nnz_t{1} << 15;
+
+/// Threads a pass over `work` elements should use: 1 below
+/// kMinParallelWork, num_threads() otherwise.
+inline int threads_for_work(nnz_t work) noexcept {
+  return work < kMinParallelWork ? 1 : num_threads();
+}
+
+/// Runs fn(tid, team) once on each member of a team of at most `threads`
+/// threads; `team` is the size actually granted. With threads <= 1 it calls
+/// fn(0, 1) on the caller and starts no parallel region. `fn` may separate
+/// its phases with `#pragma omp barrier`, which is a no-op on the serial
+/// path.
+template <typename Fn>
+void parallel_team(int threads, Fn&& fn) {
+  if (threads <= 1) {
+    fn(0, 1);
+    return;
+  }
+#pragma omp parallel num_threads(threads)
+  {
+    obs::fr_beat(obs::FrPhase::kParallelFor, thread_id());
+    fn(thread_id(), team_size());
+  }
+}
+
 /// Runs fn(tid, range) once per team member with a contiguous static
 /// partition of [0, n): thread `tid` owns `range` exclusively. This is the
 /// shape kernels use to pair a per-thread Workspace slab with a fixed slice

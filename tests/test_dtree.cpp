@@ -9,6 +9,8 @@
 #include "dtree/dimension_tree.hpp"
 #include "dtree/dtree_engine.hpp"
 #include "dtree/numeric.hpp"
+#include "model/sketch.hpp"
+#include "model/strategy.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/stats.hpp"
 #include "test_helpers.hpp"
@@ -157,6 +159,71 @@ TEST(DimensionTree, IndexArraysSortedAndInRange) {
         }
       }
       EXPECT_TRUE(!equal && greater) << "node " << i << " tuple " << u;
+    }
+  }
+}
+
+// The symbolic arrays of one node as the comparator build produced them:
+// the parent's tuple ids stable-sorted by the projected key, then grouped.
+struct SymbolicReference {
+  std::vector<std::vector<index_t>> idx;
+  std::vector<nnz_t> red_ptr;
+  std::vector<nnz_t> red_ids;
+  nnz_t max_red = 0;
+};
+
+SymbolicReference comparator_reference(const DimensionTree& tree, int id) {
+  const auto& n = tree.node(id);
+  const nnz_t pcount = tree.node_tuples(n.parent);
+  std::vector<std::span<const index_t>> keys;
+  for (mode_t m : n.modes) keys.push_back(tree.node_mode_index(n.parent, m));
+  SymbolicReference ref;
+  ref.red_ids.resize(pcount);
+  std::iota(ref.red_ids.begin(), ref.red_ids.end(), nnz_t{0});
+  std::stable_sort(ref.red_ids.begin(), ref.red_ids.end(),
+                   [&](nnz_t a, nnz_t b) {
+                     for (const auto& k : keys)
+                       if (k[a] != k[b]) return k[a] < k[b];
+                     return false;
+                   });
+  ref.idx.assign(keys.size(), {});
+  for (nnz_t p = 0; p < pcount; ++p) {
+    const nnz_t cur = ref.red_ids[p];
+    bool fresh = p == 0;
+    for (const auto& k : keys)
+      if (!fresh && k[cur] != k[ref.red_ids[p - 1]]) fresh = true;
+    if (!fresh) continue;
+    ref.red_ptr.push_back(p);
+    for (std::size_t m = 0; m < keys.size(); ++m)
+      ref.idx[m].push_back(keys[m][cur]);
+  }
+  ref.red_ptr.push_back(pcount);
+  for (std::size_t g = 0; g + 1 < ref.red_ptr.size(); ++g)
+    ref.max_red = std::max(ref.max_red, ref.red_ptr[g + 1] - ref.red_ptr[g]);
+  return ref;
+}
+
+TEST(DimensionTree, RadixGroupingMatchesComparatorSort) {
+  // Skewed order 5 with one mode wider than 65536, so that mode's keys
+  // take both 16-bit digit passes.
+  const auto t =
+      generate_zipf(shape_t{40, 300, 120000, 25, 900}, 20000, 0.9, 11);
+  const auto wide = t.mode_indices(2);
+  ASSERT_GT(*std::max_element(wide.begin(), wide.end()), 65535u);
+  ProjectionCounter counter(t);
+  const auto order = natural(5);
+  for (const TreeSpec& spec :
+       {TreeSpec::flat(order), TreeSpec::three_level(order, 2),
+        TreeSpec::bdt(order), greedy_tree(t, counter)}) {
+    const DimensionTree tree(t, spec);
+    for (int i = 0; i < tree.size(); ++i) {
+      const auto& n = tree.node(i);
+      if (n.is_root()) continue;
+      const SymbolicReference ref = comparator_reference(tree, i);
+      EXPECT_EQ(n.red_ids, ref.red_ids) << spec.to_string() << " node " << i;
+      EXPECT_EQ(n.red_ptr, ref.red_ptr) << spec.to_string() << " node " << i;
+      EXPECT_EQ(n.idx, ref.idx) << spec.to_string() << " node " << i;
+      EXPECT_EQ(n.max_red, ref.max_red) << spec.to_string() << " node " << i;
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "model/cost_model.hpp"
 #include "model/sketch.hpp"
@@ -11,6 +13,7 @@
 #include "tensor/generator.hpp"
 #include "tensor/stats.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace mdcp {
 namespace {
@@ -64,6 +67,102 @@ TEST(Sketch, ProjectionCounterCachesPasses) {
   EXPECT_EQ(counter.passes(), 1u);
   counter.count(0b110);
   EXPECT_EQ(counter.passes(), 2u);
+}
+
+// Naive oracle for the exact counter: the projected index tuples
+// themselves, not their hashes.
+nnz_t tuple_oracle(const CooTensor& t, mode_set_t modes) {
+  std::set<std::vector<index_t>> seen;
+  std::vector<index_t> key;
+  for (nnz_t i = 0; i < t.nnz(); ++i) {
+    key.clear();
+    for (mode_t m = 0; m < t.order(); ++m)
+      if (mode_in(modes, m)) key.push_back(t.index(m, i));
+    seen.insert(key);
+  }
+  return static_cast<nnz_t>(seen.size());
+}
+
+// Checks exact_distinct_projections against the oracle on every subset of
+// `t`'s modes (the empty subset included) at each thread count.
+void expect_exact_matches_oracle(const CooTensor& t,
+                                 std::initializer_list<int> thread_counts) {
+  for (mode_set_t s = 0; s <= all_modes(t.order()); ++s) {
+    const nnz_t want = tuple_oracle(t, s);
+    for (int threads : thread_counts) {
+      const ThreadScope scope(threads);
+      EXPECT_EQ(exact_distinct_projections(t, s), want)
+          << "subset " << s << " at " << threads << " threads, nnz "
+          << t.nnz();
+    }
+  }
+}
+
+TEST(Sketch, ExactMatchesTupleOracleOnEdgeTensors) {
+  CooTensor empty(shape_t{4, 5, 6});
+  EXPECT_EQ(exact_distinct_projections(empty, 0b111), 0u);
+
+  CooTensor one(shape_t{4, 5, 6});
+  one.push_back(std::vector<index_t>{3, 1, 5}, 1.0);
+  expect_exact_matches_oracle(one, {1, 4});
+
+  // Fewer nonzeros than threads.
+  CooTensor few(shape_t{4, 5, 6});
+  few.push_back(std::vector<index_t>{0, 1, 2}, 1.0);
+  few.push_back(std::vector<index_t>{0, 2, 2}, 1.0);
+  few.push_back(std::vector<index_t>{3, 2, 5}, 1.0);
+  expect_exact_matches_oracle(few, {1, 4});
+
+  // Every nonzero at the same coordinate (an uncoalesced tensor).
+  CooTensor dup(shape_t{7, 8, 9});
+  for (int i = 0; i < 50; ++i)
+    dup.push_back(std::vector<index_t>{6, 0, 4}, 1.0);
+  expect_exact_matches_oracle(dup, {1, 4});
+
+  // A mode of size 1 and a mode wider than 65536.
+  expect_exact_matches_oracle(
+      generate_zipf(shape_t{1, 90, 100000, 12}, 3000, 1.1, 61), {1, 4});
+}
+
+TEST(Sketch, ExactMatchesTupleOracleAboveTheWorkGate) {
+  const auto t = generate_zipf(shape_t{30, 400, 2000, 90000}, 50000, 1.2, 63);
+  ASSERT_GE(t.nnz(), kMinParallelWork);
+  expect_exact_matches_oracle(t, {1, 2, 4});
+}
+
+// The KMV estimator as a serial scan that keeps the k smallest distinct
+// hashes in an ordered set.
+nnz_t kmv_reference(const CooTensor& t, mode_set_t modes, unsigned k) {
+  if (t.nnz() == 0) return 0;
+  if ((modes & all_modes(t.order())) == 0) return 1;
+  std::set<std::uint64_t> mins;
+  for (nnz_t i = 0; i < t.nnz(); ++i) {
+    const std::uint64_t h = projection_hash(t, i, modes);
+    if (mins.size() < k) {
+      mins.insert(h);
+    } else if (h < *mins.rbegin() && !mins.contains(h)) {
+      mins.insert(h);
+      mins.erase(std::prev(mins.end()));
+    }
+  }
+  if (mins.size() < k) return static_cast<nnz_t>(mins.size());
+  const long double kth = static_cast<long double>(*mins.rbegin());
+  const long double est =
+      (static_cast<long double>(k) - 1) * 18446744073709551616.0L / kth;
+  return static_cast<nnz_t>(
+      std::min<long double>(est, static_cast<long double>(t.nnz())));
+}
+
+TEST(Sketch, KmvEqualsSerialScanAtAnyThreadCount) {
+  const auto t = generate_zipf(shape_t{300, 5000, 40000}, 100000, 1.1, 65);
+  ASSERT_GE(t.nnz(), kMinParallelWork);
+  for (int threads : {1, 4}) {
+    const ThreadScope scope(threads);
+    ProjectionCounter counter(t, /*exact_threshold=*/1000, 1024);
+    for (mode_set_t s = 1; s <= all_modes(t.order()); ++s)
+      EXPECT_EQ(counter.count(s), kmv_reference(t, s, 1024))
+          << "subset " << s << " at " << threads << " threads";
+  }
 }
 
 TEST(CostModel, BdtNeedsFewerFlopsThanFlatAtHighOrder) {
@@ -251,6 +350,41 @@ TEST(GreedyTree, IncludedInTunerEnumeration) {
   const auto no_counter = enumerate_strategies(t);
   EXPECT_GE(strategies.size(), no_counter.size());
   (void)has_greedy;
+}
+
+TEST(Tuner, SamePlanAtOneAndFourThreads) {
+  // Small tensors shaped like the benchmark workloads (long-mode zipf,
+  // clustered order 6, three-mode zipf), each above the parallel work gate.
+  const std::vector<CooTensor> tensors = {
+      generate_zipf(shape_t{50, 2000, 8000, 3000}, 40000, 1.1, 67),
+      generate_clustered(shape_t(6, 800), 40000,
+                         {.clusters = 16, .spread = 4.0}, 69),
+      generate_zipf(shape_t{200, 5000, 40}, 60000, 1.1, 71)};
+  for (const auto& t : tensors) {
+    ASSERT_GE(t.nnz(), kMinParallelWork) << t.summary();
+    std::string names[2];
+    for (int i = 0; i < 2; ++i) {
+      const ThreadScope scope(i == 0 ? 1 : 4);
+      names[i] = select_strategy(t, 16).winner().strategy.name;
+    }
+    EXPECT_EQ(names[0], names[1]) << t.summary();
+  }
+}
+
+TEST(Tuner, BudgetedPrepareCountsEachSubsetOnce) {
+  // At order 3 the tuner counts every subset the degradation chain's
+  // footprints need, so sharing its counter leaves the chain nothing new.
+  const auto t = generate_zipf(shape_t{60, 700, 90}, 6000, 1.1, 73);
+  ProjectionCounter counter(t);
+  const auto report = select_strategy(t, 8, 0, {}, {}, &counter);
+  const std::size_t tuner_passes = counter.passes();
+  ASSERT_GT(tuner_passes, 0u);
+
+  const std::size_t budget = 4 * report.winner().prediction.total_memory_bytes();
+  AutoEngine engine(/*probed=*/false, budget);
+  engine.prepare(t, 8);
+  ASSERT_GT(engine.chain().size(), 1u);  // the chain was planned
+  EXPECT_LE(engine.projection_passes(), tuner_passes);
 }
 
 TEST(ProbedTuner, PicksBudgetFeasibleMeasuredWinner) {
