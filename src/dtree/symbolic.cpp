@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
 
 #include "dtree/dimension_tree.hpp"
 #include "util/error.hpp"
+#include "util/mapped.hpp"
 
 namespace mdcp {
 
@@ -20,16 +22,17 @@ namespace {
 // equals a comparator stable_sort. The high-digit pass runs only for a key
 // whose largest value exceeds 65535, each histogram is only as wide as the
 // digit's range, and a pass whose digit is the same for every id is skipped
-// (it would not move anything).
-std::vector<nnz_t> sort_by_key(std::span<const std::span<const index_t>> keys,
-                               nnz_t n) {
+// (it would not move anything). `ids` (2n) holds the two id buffers and
+// `digit` (n) the current digits; returns the buffer with the result.
+template <typename Id>
+const Id* radix_sort_ids(std::span<const std::span<const index_t>> keys,
+                         nnz_t n, Id* ids, std::uint16_t* digit) {
   constexpr int kDigitBits = 16;
   constexpr index_t kDigitMask = (index_t{1} << kDigitBits) - 1;
-  std::vector<nnz_t> perm(n);
-  std::iota(perm.begin(), perm.end(), nnz_t{0});
+  Id* perm = ids;
+  Id* next = ids + n;
+  std::iota(perm, perm + n, Id{0});
   if (n < 2) return perm;
-  std::vector<nnz_t> next(n);
-  std::vector<std::uint16_t> digit(n);
   std::vector<nnz_t> count;
   for (std::size_t k = keys.size(); k-- > 0;) {
     const index_t* const key = keys[k].data();
@@ -49,10 +52,25 @@ std::vector<nnz_t> sort_by_key(std::span<const std::span<const index_t>> keys,
       if (count[std::size_t{digit[0]} + 1] == n) continue;
       for (std::size_t b = 1; b <= buckets; ++b) count[b] += count[b - 1];
       for (nnz_t i = 0; i < n; ++i) next[count[digit[i]]++] = perm[i];
-      perm.swap(next);
+      std::swap(perm, next);
     }
   }
   return perm;
+}
+
+// The sort's scratch is mapped (util/mapped.hpp) and uses 32-bit ids below
+// 2^32 tuples, so it is small and leaves no heap holes behind.
+std::vector<nnz_t> sort_by_key(std::span<const std::span<const index_t>> keys,
+                               nnz_t n) {
+  MappedArray<std::uint16_t> digit(n);
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    MappedArray<nnz_t> ids(2 * n);
+    const nnz_t* perm = radix_sort_ids(keys, n, ids.data(), digit.data());
+    return std::vector<nnz_t>(perm, perm + n);
+  }
+  MappedArray<std::uint32_t> ids(2 * n);
+  const std::uint32_t* perm = radix_sort_ids(keys, n, ids.data(), digit.data());
+  return std::vector<nnz_t>(perm, perm + n);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mttkrp/microkernel.hpp"
+#include "la/dense_kernels.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -18,13 +18,53 @@ constexpr index_t kBlock = 2048;
 
 index_t num_blocks(index_t rows) { return (rows + kBlock - 1) / kBlock; }
 
-// out = a · B for one row `a`, as a chain of rank-tiled axpys over B's rows
-// (kernel rank = B's column count).
-inline void row_times(const mk::Kernel& k, const real_t* a, const Matrix& b,
-                      real_t* out) {
-  k.fill(out, 0);
-  for (index_t q = 0; q < b.rows(); ++q)
-    if (a[q] != 0) k.axpy_accum(out, b.row(q).data(), a[q]);
+// Columns rounded up to the selected path's lane width.
+index_t padded(const dense::Kernels& k, index_t n) {
+  return (n + k.lanes - 1) / k.lanes * k.lanes;
+}
+
+// Runs fn(b, begin, end, scratch) for every row block of a rows×cols input,
+// on a team no larger than the block count: one block (or too little work)
+// runs on the caller and starts no parallel region. `scratch` is the
+// running thread's buffer of `scratch_reals`, allocated by the caller (so
+// the workers make no heap arenas of their own). Each block's result
+// depends only on its rows, so the split does not change the bits.
+template <typename Fn>
+void for_each_block(index_t rows, index_t cols, std::size_t scratch_reals,
+                    Fn&& fn) {
+  const index_t blocks = num_blocks(rows);
+  const int threads =
+      blocks > 1 ? std::min<int>(threads_for_work(nnz_t{rows} * cols),
+                                 static_cast<int>(blocks))
+                 : 1;
+  std::vector<real_t> scratch(static_cast<std::size_t>(threads) *
+                              scratch_reals);
+  parallel_team(threads, [&](int tid, int team) {
+    real_t* mine_scratch =
+        scratch.data() + static_cast<std::size_t>(tid) * scratch_reals;
+    const Range mine = chunk_range(blocks, team, tid);
+    for (nnz_t b = mine.begin; b < mine.end; ++b) {
+      const auto begin = static_cast<index_t>(b) * kBlock;
+      fn(static_cast<index_t>(b), begin, std::min<index_t>(begin + kBlock, rows),
+         mine_scratch);
+    }
+  });
+}
+
+// Upper triangle of the sum of per-block np×np Gram partials, in block
+// order, into the r×r `out`, mirrored below the diagonal.
+void reduce_gram(const std::vector<real_t>& partial, index_t blocks,
+                 index_t r, index_t np, Matrix& out) {
+  out.resize(r, r, 0);
+  const std::size_t stride = static_cast<std::size_t>(np) * np;
+  for (index_t b = 0; b < blocks; ++b) {
+    const real_t* g = partial.data() + b * stride;
+    for (index_t j = 0; j < r; ++j)
+      for (index_t k = j; k < r; ++k)
+        out(j, k) += g[static_cast<std::size_t>(j) * np + k];
+  }
+  for (index_t j = 0; j < r; ++j)
+    for (index_t k = j + 1; k < r; ++k) out(k, j) = out(j, k);
 }
 
 }  // namespace
@@ -32,34 +72,19 @@ inline void row_times(const mk::Kernel& k, const real_t* a, const Matrix& b,
 void gram(const Matrix& a, Matrix& out) {
   const index_t n = a.rows();
   const index_t r = a.cols();
-  out.resize(r, r, 0);
-
-  // Fixed-size row blocks (independent of the thread count) accumulated in
-  // parallel, then reduced in block order: bitwise-deterministic for any
-  // number of threads, atomics-free, single scan of the tall matrix.
+  const dense::Kernels& k = dense::kernels();
+  const index_t np = padded(k, r);
   const index_t blocks = num_blocks(n);
-  std::vector<Matrix> partial(blocks, Matrix(r, r, 0));
-#pragma omp parallel for schedule(static)
-  for (std::int64_t b = 0; b < static_cast<std::int64_t>(blocks); ++b) {
-    Matrix& local = partial[static_cast<std::size_t>(b)];
-    const index_t begin = static_cast<index_t>(b) * kBlock;
-    const index_t end = std::min<index_t>(begin + kBlock, n);
-    for (index_t i = begin; i < end; ++i) {
-      const auto row = a.row(i);
-      for (index_t j = 0; j < r; ++j) {
-        const real_t aj = row[j];
-        if (aj == 0) continue;
-        real_t* lrow = &local(j, 0);
-        for (index_t k = j; k < r; ++k) lrow[k] += aj * row[k];
-      }
-    }
-  }
-  for (const auto& p : partial)
-    for (index_t j = 0; j < r; ++j)
-      for (index_t k = j; k < r; ++k) out(j, k) += p(j, k);
-  // Mirror the upper triangle.
-  for (index_t j = 0; j < r; ++j)
-    for (index_t k = j + 1; k < r; ++k) out(k, j) = out(j, k);
+  // One scan of the tall matrix; the path's kernel stages each chunk of
+  // rows, zero-padded, in a per-thread buffer.
+  const std::size_t g_stride = static_cast<std::size_t>(np) * np;
+  std::vector<real_t> partial(blocks * g_stride, 0);
+  for_each_block(n, r, std::size_t{dense::kGramChunk} * np,
+                 [&](index_t b, index_t begin, index_t end, real_t* work) {
+                   k.gram_upper(a.row(begin).data(), end - begin, r,
+                                partial.data() + b * g_stride, work);
+                 });
+  reduce_gram(partial, blocks, r, np, out);
 }
 
 Matrix gram(const Matrix& a) {
@@ -70,12 +95,17 @@ Matrix gram(const Matrix& a) {
 
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& c) {
   MDCP_CHECK(a.cols() == b.rows());
+  MDCP_CHECK_MSG(&c != &a && &c != &b, "multiply_into output aliases input");
   c.resize(a.rows(), b.cols(), 0);
-  const mk::Kernel k(b.cols());
-  parallel_for(a.rows(), [&](nnz_t i) {
-    const auto row = static_cast<index_t>(i);
-    row_times(k, a.row(row).data(), b, c.row(row).data());
-  });
+  const dense::Kernels& k = dense::kernels();
+  std::vector<real_t> packed(static_cast<std::size_t>(b.rows()) *
+                             padded(k, b.cols()));
+  k.pack(b.data(), b.rows(), b.cols(), packed.data());
+  for_each_block(a.rows(), a.cols(), 0,
+                 [&](index_t, index_t begin, index_t end, real_t*) {
+                   k.gemm_rows(a.row(begin).data(), end - begin, a.cols(),
+                               packed.data(), b.cols(), c.row(begin).data());
+                 });
 }
 
 Matrix multiply(const Matrix& a, const Matrix& b) {
@@ -122,48 +152,36 @@ FactorUpdateInfo factor_update(const Matrix& m, const Matrix& h_inv,
   MDCP_CHECK(h_inv.rows() == r && h_inv.cols() == r);
   MDCP_CHECK_MSG(&u != &m, "factor_update writes u while reading m");
   if (u.rows() != n || u.cols() != r) u.resize(n, r);
-  const mk::Kernel k(r);
+  const dense::Kernels& k = dense::kernels();
+  const index_t np = padded(k, r);
   const index_t blocks = num_blocks(n);
-  const auto block_end = [n](index_t b) {
-    return std::min<index_t>((b + 1) * kBlock, n);
-  };
+  const std::size_t g_stride = static_cast<std::size_t>(np) * np;
+  std::vector<real_t> packed(static_cast<std::size_t>(r) * np);
+  k.pack(h_inv.data(), r, r, packed.data());
 
-  // Sweep 1: u = M·H⁻¹ row by row; per block, a finiteness probe (x - x is
-  // NaN exactly when x is not finite, so the sum stays 0 iff every entry is
-  // finite) and the squared column norms.
-  std::vector<real_t> col_sq(static_cast<std::size_t>(blocks) * r, 0);
+  // Sweep 1: u = M·H⁻¹ in register tiles; per block, a finiteness probe
+  // (taken before the clamp) and the upper triangle of the raw Gram uᵀu,
+  // accumulated while the rows are still in cache.
+  std::vector<real_t> partial(blocks * g_stride, 0);
   std::vector<real_t> probe(blocks, 0);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(blocks); ++bi) {
-    const auto b = static_cast<index_t>(bi);
-    real_t* sq = col_sq.data() + static_cast<std::size_t>(b) * r;
-    real_t nonfinite = 0;
-    for (index_t i = b * kBlock; i < block_end(b); ++i) {
-      real_t* x = u.row(i).data();
-      row_times(k, m.row(i).data(), h_inv, x);
-#pragma omp simd reduction(+ : nonfinite)
-      for (index_t j = 0; j < r; ++j) nonfinite += x[j] - x[j];
-      if (nonnegative) {
-        // Projected ALS: negative entries are infeasible for count data.
-#pragma omp simd
-        for (index_t j = 0; j < r; ++j) x[j] = x[j] < 0 ? 0 : x[j];
-      }
-#pragma omp simd
-      for (index_t j = 0; j < r; ++j) sq[j] += x[j] * x[j];
-    }
-    probe[b] = nonfinite;
-  }
+  for_each_block(n, r, std::size_t{dense::kGramChunk} * np,
+                 [&](index_t b, index_t begin, index_t end, real_t* work) {
+                   probe[b] = k.solve_rows(
+                       m.row(begin).data(), end - begin, r, packed.data(),
+                       nonnegative, u.row(begin).data(),
+                       partial.data() + b * g_stride, work);
+                 });
   for (real_t p : probe)
     if (p != 0) return {false, 0};
 
+  Matrix raw;
+  reduce_gram(partial, blocks, r, np, raw);
+  // λ_j = ‖u(:,j)‖ is the root of the raw Gram's diagonal.
   lambda.assign(r, 0);
-  for (index_t b = 0; b < blocks; ++b)
-    for (index_t j = 0; j < r; ++j)
-      lambda[j] += col_sq[static_cast<std::size_t>(b) * r + j];
   std::vector<real_t> inv(r, 1);
   FactorUpdateInfo info;
   for (index_t j = 0; j < r; ++j) {
-    lambda[j] = std::sqrt(lambda[j]);
+    lambda[j] = std::sqrt(raw(j, j));
     if (lambda[j] > 0) {
       inv[j] = 1 / lambda[j];
       continue;
@@ -180,26 +198,23 @@ FactorUpdateInfo factor_update(const Matrix& m, const Matrix& h_inv,
     if (norm > 0) inv[j] = 1 / norm;
   }
 
-  // Sweep 2: normalize each row and accumulate the block's full R×R Gram.
-  // (u_ij·u_ik and u_ik·u_ij round alike, so each partial is symmetric.)
-  std::vector<real_t> partial(static_cast<std::size_t>(blocks) * r * r, 0);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t bi = 0; bi < static_cast<std::int64_t>(blocks); ++bi) {
-    const auto b = static_cast<index_t>(bi);
-    real_t* g = partial.data() + static_cast<std::size_t>(b) * r * r;
-    for (index_t i = b * kBlock; i < block_end(b); ++i) {
-      real_t* x = u.row(i).data();
-      k.hadamard(x, inv.data());
-      for (index_t j = 0; j < r; ++j)
-        if (x[j] != 0) k.axpy_accum(g + static_cast<std::size_t>(j) * r, x, x[j]);
-    }
+  // Sweep 2: normalize each row.
+  for_each_block(n, r, 0, [&](index_t, index_t begin, index_t end, real_t*) {
+    k.scale_rows(u.row(begin).data(), end - begin, r, inv.data());
+  });
+  if (info.collapsed > 0) {
+    // The raw Gram does not cover the refilled columns: take the Gram of
+    // the normalized factor instead.
+    gram(u, gram_out);
+    return info;
   }
+  // Otherwise the normalized Gram is the raw one scaled on both sides.
   gram_out.resize(r, r, 0);
-  real_t* out = gram_out.data();
-  for (index_t b = 0; b < blocks; ++b) {
-    const real_t* g = partial.data() + static_cast<std::size_t>(b) * r * r;
-    for (std::size_t e = 0; e < static_cast<std::size_t>(r) * r; ++e)
-      out[e] += g[e];
+  for (index_t j = 0; j < r; ++j) {
+    for (index_t q = j; q < r; ++q) {
+      gram_out(j, q) = raw(j, q) * inv[j] * inv[q];
+      gram_out(q, j) = gram_out(j, q);
+    }
   }
   return info;
 }

@@ -10,15 +10,18 @@
 
 namespace mdcp {
 
-/// out = A^T A (out is cols×cols, symmetric). Parallel over row blocks.
+/// out = A^T A (out is cols×cols, symmetric): the upper triangle per
+/// 2048-row block at the selected ISA path's width (la/dense_kernels.hpp),
+/// blocks in parallel when there is more than one, reduced in block order.
 void gram(const Matrix& a, Matrix& out);
 
 /// Returns A^T A.
 Matrix gram(const Matrix& a);
 
-/// C = A * B (dimensions must agree). One row of C per task, each a chain
-/// of rank-tiled axpys over B's rows; A is typically I×R and B is R×R in
-/// CP-ALS.
+/// C = A * B (dimensions must agree; C must not alias A or B). B is packed
+/// once, then the rows of A run through the selected path's register tile,
+/// in 2048-row blocks (in parallel when there is more than one). A is
+/// typically I×R and B is R×R in CP-ALS.
 void multiply_into(const Matrix& a, const Matrix& b, Matrix& c);
 Matrix multiply(const Matrix& a, const Matrix& b);
 
@@ -43,14 +46,17 @@ struct FactorUpdateInfo {
 
 /// The CP-ALS dense update of one factor, in place and in two sweeps over
 /// the I×R rows (fixed 2048-row blocks, bitwise identical for any thread
-/// count):
-///   1. u = M · h_inv, clamped at 0 when `nonnegative`; per-block
-///      finiteness (checked before the clamp) and squared column norms.
-///   2. u(:,r) *= 1/λ_r with λ_r = ‖u(:,r)‖, and gram_out = uᵀu.
+/// count within one ISA path):
+///   1. u = M · h_inv in register tiles, clamped at 0 when `nonnegative`;
+///      per block, finiteness (checked before the clamp) and the upper
+///      triangle of the raw Gram G = uᵀu.
+///   2. u(:,r) *= 1/λ_r with λ_r = √G_rr = ‖u(:,r)‖, and
+///      gram_out_jk = G_jk / (λ_j·λ_k).
 /// A column with λ_r = 0 keeps λ_r = 0 and is refilled from `rng` with
-/// Uniform(0,1) entries, row by row, then normalized on its own. `u` must
-/// not alias `m`; it is reallocated only when its shape differs from M's.
-/// Equals solve_normal_equations → column_normalize → gram up to rounding.
+/// Uniform(0,1) entries, row by row, then normalized on its own; gram_out is
+/// then computed from the normalized u in a third pass. `u` must not alias
+/// `m`; it is reallocated only when its shape differs from M's. Equals
+/// solve_normal_equations → column_normalize → gram up to rounding.
 FactorUpdateInfo factor_update(const Matrix& m, const Matrix& h_inv,
                                bool nonnegative, Rng& rng, Matrix& u,
                                std::vector<real_t>& lambda, Matrix& gram_out);

@@ -1,6 +1,7 @@
 #include "la/cholesky.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "la/blas.hpp"
 #include "la/eigen.hpp"
@@ -36,20 +37,53 @@ void cholesky_solve_rows(const Matrix& l, Matrix& rhs_rows) {
   MDCP_CHECK(l.rows() == l.cols());
   MDCP_CHECK(rhs_rows.cols() == l.rows());
   const index_t n = l.rows();
-  parallel_for(rhs_rows.rows(), [&](nnz_t ri) {
-    auto x = rhs_rows.row(static_cast<index_t>(ri));
+  const index_t m = rhs_rows.rows();
+  // The right-hand sides are solved side by side: t(i, c) holds x_c[i] for
+  // the team member's rows c, so each substitution step is one vector
+  // update across them. Per entry the operations and their order are those
+  // of a row-by-row solve (s = b_i; s -= l(i,k)·x_k for k ascending;
+  // x_i = s / l(i,i)), so the split does not change the bits. An R×R
+  // inverse stays below the work gate and runs on the caller.
+  parallel_team(threads_for_work(nnz_t{m} * n), [&](int tid, int team) {
+    const Range mine = chunk_range(m, team, tid);
+    const auto w = static_cast<index_t>(mine.size());
+    if (w == 0) return;
+    std::vector<real_t> t(static_cast<std::size_t>(n) * w);
+    const auto col = [&](index_t i) {
+      return t.data() + static_cast<std::size_t>(i) * w;
+    };
+    for (index_t c = 0; c < w; ++c)
+      for (index_t i = 0; i < n; ++i)
+        col(i)[c] = rhs_rows(static_cast<index_t>(mine.begin) + c, i);
     // Forward substitution: L y = b.
     for (index_t i = 0; i < n; ++i) {
-      real_t s = x[i];
-      for (index_t k = 0; k < i; ++k) s -= l(i, k) * x[k];
-      x[i] = s / l(i, i);
+      real_t* ti = col(i);
+      for (index_t k = 0; k < i; ++k) {
+        const real_t lik = l(i, k);
+        const real_t* tk = col(k);
+#pragma omp simd
+        for (index_t c = 0; c < w; ++c) ti[c] -= lik * tk[c];
+      }
+      const real_t d = l(i, i);
+#pragma omp simd
+      for (index_t c = 0; c < w; ++c) ti[c] /= d;
     }
     // Backward substitution: Lᵀ x = y.
     for (index_t ii = n; ii-- > 0;) {
-      real_t s = x[ii];
-      for (index_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
-      x[ii] = s / l(ii, ii);
+      real_t* ti = col(ii);
+      for (index_t k = ii + 1; k < n; ++k) {
+        const real_t lki = l(k, ii);
+        const real_t* tk = col(k);
+#pragma omp simd
+        for (index_t c = 0; c < w; ++c) ti[c] -= lki * tk[c];
+      }
+      const real_t d = l(ii, ii);
+#pragma omp simd
+      for (index_t c = 0; c < w; ++c) ti[c] /= d;
     }
+    for (index_t c = 0; c < w; ++c)
+      for (index_t i = 0; i < n; ++i)
+        rhs_rows(static_cast<index_t>(mine.begin) + c, i) = col(i)[c];
   });
 }
 

@@ -23,6 +23,7 @@
 #include "dtree/dimension_tree.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
+#include "la/dense_kernels.hpp"
 #include "la/eigen.hpp"
 #include "la/matrix.hpp"
 #include "model/cost_model.hpp"

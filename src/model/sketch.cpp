@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/mapped.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -92,7 +93,8 @@ std::uint64_t projection_hash(const CooTensor& t, nnz_t i, mode_set_t modes,
   return h;
 }
 
-nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes) {
+nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes,
+                                 std::uint64_t* scratch) {
   const nnz_t n = t.nnz();
   if (n == 0) return 0;
   if ((modes & all_modes(t.order())) == 0) return 1;  // scalar projection
@@ -100,8 +102,10 @@ nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes) {
   // Equal hashes share their top kBucketBits, so they land in one bucket,
   // and the distinct count is the sum of the buckets' distinct counts.
   const int threads = threads_for_work(n);
-  const auto hashes = std::make_unique_for_overwrite<std::uint64_t[]>(n);
-  const auto bucketed = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  std::optional<MappedArray<std::uint64_t>> owned;
+  if (scratch == nullptr) scratch = owned.emplace(2 * n).data();
+  std::uint64_t* const hashes = scratch;
+  std::uint64_t* const bucketed = scratch + n;
   // cursor[tid * kBuckets + b]: thread tid's histogram of bucket b, then its
   // next write position in `bucketed`.
   std::vector<nnz_t> cursor(static_cast<std::size_t>(threads) * kBuckets);
@@ -113,7 +117,7 @@ nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes) {
 
   parallel_team(threads, [&](int tid, int team) {
     const Range mine = chunk_range(n, team, tid);
-    std::uint64_t* const h = hashes.get() + mine.begin;
+    std::uint64_t* const h = hashes + mine.begin;
     hash_projections(t, modes, kProjectionSeed, mine, h);
     nnz_t* const hist = cursor.data() + static_cast<std::size_t>(tid) * kBuckets;
     for (nnz_t i = 0; i < mine.size(); ++i) ++hist[bucket_of(h[i])];
@@ -144,8 +148,8 @@ nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes) {
                                        mine.end);
     nnz_t count = 0;
     for (auto b = first; b != last; ++b) {
-      std::uint64_t* const lo = bucketed.get() + *b;
-      std::uint64_t* const hi = bucketed.get() + *(b + 1);
+      std::uint64_t* const lo = bucketed + *b;
+      std::uint64_t* const hi = bucketed + *(b + 1);
       if (lo == hi) continue;
       std::sort(lo, hi);
       count += 1;
@@ -199,10 +203,14 @@ nnz_t ProjectionCounter::count(mode_set_t modes) {
   const auto it = cache_.find(modes);
   if (it != cache_.end()) return it->second;
   ++passes_;
-  const nnz_t result =
-      (tensor_.nnz() <= exact_threshold_)
-          ? exact_distinct_projections(tensor_, modes)
-          : kmv_distinct_projections(tensor_, modes, kmv_k_);
+  nnz_t result = 0;
+  if (tensor_.nnz() <= exact_threshold_) {
+    // One scratch serves every exact pass of this counter.
+    if (!scratch_) scratch_.emplace(2 * tensor_.nnz());
+    result = exact_distinct_projections(tensor_, modes, scratch_->data());
+  } else {
+    result = kmv_distinct_projections(tensor_, modes, kmv_k_);
+  }
   cache_.emplace(modes, result);
   return result;
 }

@@ -11,9 +11,12 @@
 // with results cached per subset across all candidate strategies.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <unordered_map>
 
 #include "tensor/coo_tensor.hpp"
+#include "util/mapped.hpp"
 #include "util/types.hpp"
 
 namespace mdcp {
@@ -26,8 +29,10 @@ std::uint64_t projection_hash(const CooTensor& t, nnz_t i, mode_set_t modes,
 /// by their top bits and each bucket is sorted and counted on its own, in
 /// parallel above kMinParallelWork nonzeros. The result does not depend on
 /// the thread count. (Collisions would undercount with probability
-/// ~nnz²/2⁶⁴ — negligible at any realistic size.)
-nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes);
+/// ~nnz²/2⁶⁴ — negligible at any realistic size.) `scratch` holds 2·nnz
+/// values the pass may overwrite; null allocates them for this call.
+nnz_t exact_distinct_projections(const CooTensor& t, mode_set_t modes,
+                                 std::uint64_t* scratch = nullptr);
 
 /// KMV estimate of the distinct-projection count using the k smallest
 /// distinct hashes: D ≈ (k−1)·2⁶⁴ / h_(k). Relative error ~1/√k. Chunks
@@ -58,6 +63,7 @@ class ProjectionCounter {
   unsigned kmv_k_;
   std::unordered_map<mode_set_t, nnz_t> cache_;
   std::size_t passes_ = 0;
+  std::optional<MappedArray<std::uint64_t>> scratch_;  // exact passes, 2·nnz
 };
 
 }  // namespace mdcp

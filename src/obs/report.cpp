@@ -8,6 +8,7 @@
 #include <unistd.h>
 #endif
 
+#include "la/dense_kernels.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"  // MDCP_ENABLE_TRACING
 
@@ -119,6 +120,7 @@ void RunReporter::write_header(const CooTensor& tensor,
       .kv("tracing_compiled", b.tracing)
       .kv("hardware_threads", b.hardware_threads)
       .kv("kernel_threads", kernel_threads)
+      .kv("dense_isa", dense::isa_name(dense::selected_isa()))
       .kv("order", static_cast<std::uint64_t>(tensor.order()));
   w.key("shape").begin_array();
   for (mode_t m = 0; m < tensor.order(); ++m)

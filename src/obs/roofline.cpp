@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "la/dense_kernels.hpp"
 #include "obs/clock.hpp"
 #include "util/parallel.hpp"
 
@@ -12,27 +13,10 @@ namespace mdcp::obs {
 
 namespace {
 
-// 16 independent multiply-add chains: enough instruction-level parallelism
-// to saturate the FPU pipes whether the compiler emits scalar, SSE2, or
-// (with -march flags) FMA code. Returns flops performed; writes the
-// accumulator sum through `sink` so the loop cannot be dead-code-eliminated.
-std::uint64_t fma_burst(std::uint64_t iters, double* sink) {
-  constexpr int kChains = 16;
-  double acc[kChains];
-  for (int c = 0; c < kChains; ++c)
-    acc[c] = 1.0 + 1e-9 * static_cast<double>(c);
-  const double mul = 1.0 + 1e-12;
-  const double add = 1e-12;
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    for (int c = 0; c < kChains; ++c) acc[c] = acc[c] * mul + add;
-  }
-  double total = 0;
-  for (int c = 0; c < kChains; ++c) total += acc[c];
-  *sink = total;
-  return iters * kChains * 2;  // one multiply + one add per chain-iteration
-}
-
+// The multiply-add burst of the selected dense ISA path: independent
+// vector chains at that path's width (FMA on the AVX2/AVX-512 paths).
 double measure_fma_gflops(double seconds_budget) {
+  const auto burst = dense::kernels().fma_burst;
   const int threads = std::max(num_threads(), 1);
   std::vector<double> sinks(static_cast<std::size_t>(threads) * 64, 0);
   // Warm-up sizing burst: find an iteration count worth ~1/8 of the budget,
@@ -51,7 +35,7 @@ double measure_fma_gflops(double seconds_budget) {
                          [&](int tid, Range range) {
                            std::uint64_t local = 0;
                            for (nnz_t r = range.begin; r < range.end; ++r)
-                             local += fma_burst(
+                             local += burst(
                                  iters,
                                  &sinks[static_cast<std::size_t>(tid) * 64]);
                            flops.fetch_add(local,
@@ -103,6 +87,7 @@ RooflineCeilings calibrate_roofline(double seconds_budget) {
   RooflineCeilings ceilings;
   ceilings.threads = std::max(num_threads(), 1);
   const std::uint64_t t0 = clock_ns();
+  ceilings.isa = dense::isa_name(dense::selected_isa());
   ceilings.fma_gflops = measure_fma_gflops(seconds_budget / 2);
   ceilings.triad_gbps = measure_triad_gbps(seconds_budget / 2);
   ceilings.calibration_seconds = ns_to_seconds(t0, clock_ns());

@@ -2,9 +2,11 @@
 //
 // Two tiny calibration kernels establish what *this build on this machine*
 // can do: a register-parallel multiply-add loop for the compute ceiling and
-// a STREAM-style triad for the memory-bandwidth ceiling. Both are compiled
-// with the library's own flags, so the ceilings are the honest upper bounds
-// for mdcp kernels (not the datasheet peak of the chip).
+// a STREAM-style triad for the memory-bandwidth ceiling. The multiply-add
+// loop runs on the dense ISA path the process selected (la/dense_kernels.hpp),
+// which `isa` names; the triad is compiled with the library's own flags. So
+// the ceilings are the honest upper bounds for mdcp kernels (not the
+// datasheet peak of the chip).
 //
 // Attribution combines a kernel's measured seconds, its model/metric flop
 // count, and perf-counter-derived bytes (LLC misses x cache line) into
@@ -24,6 +26,7 @@ inline constexpr double kCacheLineBytes = 64.0;
 /// Machine ceilings measured by calibrate_roofline().
 struct RooflineCeilings {
   double fma_gflops = 0;   ///< compute ceiling (multiply-add loop)
+  const char* isa = "";    ///< dense ISA path fma_gflops was measured on
   double triad_gbps = 0;   ///< bandwidth ceiling (STREAM triad), GB/s
   int threads = 0;         ///< thread count the calibration ran with
   double calibration_seconds = 0;  ///< wall time spent calibrating

@@ -210,6 +210,7 @@ int main(int argc, char** argv) {
   w.key("machine").begin_object();
   w.key("ceilings").begin_object()
       .kv("fma_gflops", ceilings.fma_gflops)
+      .kv("isa", ceilings.isa)
       .kv("triad_gbps", ceilings.triad_gbps)
       .kv("ridge_intensity", ceilings.ridge_intensity())
       .kv("threads", ceilings.threads)

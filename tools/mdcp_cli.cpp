@@ -167,7 +167,8 @@ int cmd_info(const Args& args) {
         .kv("openmp_version", b.openmp_version)
         .kv("tracing_compiled", b.tracing)
         .kv("hardware_threads", b.hardware_threads)
-        .kv("kernel_threads", num_threads());
+        .kv("kernel_threads", num_threads())
+        .kv("dense_isa", dense::isa_name(dense::selected_isa()));
     w.key("engines").begin_array();
     for (const auto& e : registry.entries()) {
       w.begin_object().kv("name", e.name).kv("description", e.description)
@@ -186,6 +187,7 @@ int cmd_info(const Args& args) {
               b.tracing ? "compiled in (enable with --trace)" : "compiled out");
   std::printf("hardware threads: %u\n", b.hardware_threads);
   std::printf("kernel threads:   %d\n", num_threads());
+  std::printf("dense isa:        %s\n", dense::isa_name(dense::selected_isa()));
   std::printf("engines:\n");
   for (const auto& e : registry.entries())
     std::printf("  %-12s %s\n", e.name.c_str(), e.description.c_str());
@@ -541,9 +543,9 @@ int cmd_profile(const Args& args) {
   const double calib_budget = args.get_num("calib-seconds", 0.3);
   const obs::RooflineCeilings ceilings = obs::calibrate_roofline(calib_budget);
   if (!json) {
-    std::printf("ceilings: %.2f GFLOP/s (fma), %.2f GB/s (triad), "
+    std::printf("ceilings: %.2f GFLOP/s (fma, %s), %.2f GB/s (triad), "
                 "ridge %.2f flop/B, %d thread(s), calibrated in %.2fs\n",
-                ceilings.fma_gflops, ceilings.triad_gbps,
+                ceilings.fma_gflops, ceilings.isa, ceilings.triad_gbps,
                 ceilings.ridge_intensity(), ceilings.threads,
                 ceilings.calibration_seconds);
   }
@@ -658,6 +660,7 @@ int cmd_profile(const Args& args) {
     w.end_array().end_object();
     w.key("ceilings").begin_object()
         .kv("fma_gflops", ceilings.fma_gflops)
+        .kv("isa", ceilings.isa)
         .kv("triad_gbps", ceilings.triad_gbps)
         .kv("ridge_intensity", ceilings.ridge_intensity())
         .kv("threads", ceilings.threads)
