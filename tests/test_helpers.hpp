@@ -1,13 +1,45 @@
 // Shared fixtures/utilities for the mdcp test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "mdcp.hpp"
 
+namespace mdcp::dense {
+/// Names the path in gtest's parameter output.
+inline void PrintTo(Isa isa, std::ostream* os) { *os << isa_name(isa); }
+}  // namespace mdcp::dense
+
 namespace mdcp::testing {
+
+/// Base of a suite that runs once per dense ISA path compiled into the
+/// library (la/dense_kernels.hpp). A path this CPU cannot run is skipped.
+/// Instantiate with kAllDensePaths and dense_path_name.
+class DensePathTest : public ::testing::TestWithParam<dense::Isa> {
+ protected:
+  void SetUp() override {
+    if (!dense::isa_supported(GetParam()))
+      GTEST_SKIP() << dense::isa_name(GetParam()) << " not supported here";
+    scope_.emplace(GetParam());
+  }
+
+ private:
+  std::optional<dense::ScopedIsa> scope_;
+};
+
+inline const auto kAllDensePaths = ::testing::Values(
+    dense::Isa::kBaseline, dense::Isa::kAvx2, dense::Isa::kAvx512);
+
+inline std::string dense_path_name(
+    const ::testing::TestParamInfo<dense::Isa>& info) {
+  return dense::isa_name(info.param);
+}
 
 /// Random factor matrices matching `tensor` with the given rank.
 inline std::vector<Matrix> random_factors(const CooTensor& tensor,
