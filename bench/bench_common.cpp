@@ -91,16 +91,13 @@ std::vector<Dataset> standard_datasets() {
   return ds;
 }
 
-std::vector<EngineColumn> engine_columns(bool include_ttv_chain) {
-  // Column order follows the registry's registration order. The TTV chain is
-  // opt-in (orders of magnitude slower), and the probed auto variant is
-  // skipped — its shortlist sweeps would dominate the table's run time.
+std::vector<EngineColumn> engine_columns() {
+  // Column order follows the registry's registration order. The probed auto
+  // variant is skipped — its shortlist sweeps would dominate the table's run
+  // time.
   std::vector<EngineColumn> cols;
-  for (const auto& name : EngineRegistry::instance().names()) {
-    if (name == "ttv-chain" && !include_ttv_chain) continue;
-    if (name == "auto+probe") continue;
-    cols.push_back({name, name});
-  }
+  for (const auto& name : EngineRegistry::instance().names())
+    if (name != "auto+probe") cols.push_back({name, name});
   return cols;
 }
 

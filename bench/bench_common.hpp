@@ -72,7 +72,7 @@ struct EngineColumn {
   std::string label;   ///< table header
   std::string engine;  ///< EngineRegistry name
 };
-std::vector<EngineColumn> engine_columns(bool include_ttv_chain = false);
+std::vector<EngineColumn> engine_columns();
 
 /// Creates and prepares the column's engine for `tensor` at `rank`.
 std::unique_ptr<MttkrpEngine> make_column_engine(const EngineColumn& col,

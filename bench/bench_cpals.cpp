@@ -25,17 +25,16 @@ int main(int argc, char** argv) {
   note("== F7: CP-ALS per-iteration time (R=%u, %d iters, 1 thread) ==\n\n",
        opt.rank, opt.max_iterations);
 
-  const std::vector<EngineKind> kinds{
-      EngineKind::kCoo,       EngineKind::kCsf,      EngineKind::kDTreeFlat,
-      EngineKind::kDTreeThreeLevel, EngineKind::kDTreeBdt, EngineKind::kAuto};
+  const char* const engines[] = {"coo",        "csf",       "dtree-flat",
+                                 "dtree-3lvl", "dtree-bdt", "auto"};
 
   for (const auto& ds : standard_datasets()) {
     note("dataset: %s (%s)\n", ds.name.c_str(), ds.tensor.summary().c_str());
     TablePrinter table({"engine", "iter-total", "mttkrp", "dense", "fit",
                         "symbolic", "numeric", "scratch", "final-fit"},
                        14, "F7/" + ds.name);
-    for (EngineKind k : kinds) {
-      opt.engine = k;
+    for (const char* engine : engines) {
+      opt.engine_name = engine;
       const auto result = cp_als(ds.tensor, opt);
       const double iters = result.iterations;
       std::ostringstream fit;

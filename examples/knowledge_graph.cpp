@@ -39,7 +39,7 @@ int main() {
   opt.rank = 24;
   opt.max_iterations = 20;
   opt.tolerance = 1e-5;
-  opt.engine = EngineKind::kAuto;
+  opt.engine_name = "auto";
   const CpAlsResult result = cp_als(train, opt);
   std::printf("decomposed with %s: fit %.4f after %d iterations\n",
               result.engine_name.c_str(),

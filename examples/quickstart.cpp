@@ -25,13 +25,13 @@ int main() {
   std::printf("input: %s, |X| = %.3f\n", x.summary().c_str(),
               static_cast<double>(x.norm()));
 
-  // Decompose at rank 2. EngineKind::kAuto asks the model-driven tuner to
+  // Decompose at rank 2. The "auto" engine asks the model-driven tuner to
   // pick the MTTKRP strategy; for a 3-mode toy it will choose a cheap tree.
   CpAlsOptions opt;
   opt.rank = 2;
   opt.max_iterations = 100;
   opt.tolerance = 1e-8;
-  opt.engine = EngineKind::kAuto;
+  opt.engine_name = "auto";
   opt.verbose = false;
 
   const CpAlsResult result = cp_als(x, opt);

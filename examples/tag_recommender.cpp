@@ -24,7 +24,7 @@ int main() {
   opt.rank = 16;
   opt.max_iterations = 25;
   opt.tolerance = 1e-5;
-  opt.engine = EngineKind::kAuto;
+  opt.engine_name = "auto";
   const CpAlsResult result = cp_als(events, opt);
   std::printf("decomposed with %s: fit %.4f after %d iterations "
               "(mttkrp %.3fs, dense %.3fs)\n",

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "la/blas.hpp"
+#include "mttkrp/registry.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -16,8 +17,10 @@ constexpr real_t kEps = 1e-12;  // denominator guard
 }
 
 CpAlsResult cp_mu(const CooTensor& tensor, const CpAlsOptions& options) {
-  const auto engine = make_engine(tensor, options.engine, options.rank,
-                                  options.memory_budget_bytes);
+  KernelContext ctx;
+  ctx.mem_budget = options.memory_budget_bytes;
+  const auto engine =
+      make_engine(options.engine_name, tensor, options.rank, ctx);
   return cp_mu(tensor, *engine, options);
 }
 

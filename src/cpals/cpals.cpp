@@ -21,86 +21,39 @@
 
 namespace mdcp {
 
-const char* engine_kind_name(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kCoo: return "coo";
-    case EngineKind::kBlockedCoo: return "bcoo";
-    case EngineKind::kTtvChain: return "ttv-chain";
-    case EngineKind::kCsf: return "csf";
-    case EngineKind::kCsfOne: return "csf1";
-    case EngineKind::kDTreeFlat: return "dtree-flat";
-    case EngineKind::kDTreeThreeLevel: return "dtree-3lvl";
-    case EngineKind::kDTreeBdt: return "dtree-bdt";
-    case EngineKind::kAuto: return "auto";
-    case EngineKind::kAutoProbed: return "auto+probe";
-  }
-  return "unknown";
-}
-
 namespace {
 
-// Single construction path for both the enum and the string spelling. The
-// memory budget rides in through the context, so fixed engines get arena
+// Single construction path for the engine named in the options. The memory
+// budget rides in through the context, so fixed engines get arena
 // enforcement (typed budget_error) and the auto engines additionally plan
-// their degradation chain. Engines are created *unprepared*: cp_als prepares
-// lazily, which keeps prepare-time degradation events inside the run's
-// reporting window.
-// Empirical-overlay knobs forwarded from the ALS options into the tuner.
-TunerOptions tuner_options_from(const CpAlsOptions& options) {
-  TunerOptions t;
-  t.use_history = options.use_history && options.history != nullptr;
-  t.history = options.history;
-  t.trust.min_weight = options.history_min_weight;
-  return t;
-}
-
-std::unique_ptr<MttkrpEngine> make_named_engine_unprepared(
-    const std::string& name, std::size_t memory_budget_bytes,
-    const TunerOptions& tuner_options = {}) {
+// their degradation chain; the auto engines also get the empirical-overlay
+// knobs. Engines are created *unprepared*: cp_als prepares lazily, which
+// keeps prepare-time degradation events inside the run's reporting window.
+std::unique_ptr<MttkrpEngine> make_options_engine(const CpAlsOptions& options) {
   KernelContext ctx;
-  ctx.mem_budget = memory_budget_bytes;
-  if (name == "auto" || name == "auto+probe") {
-    return std::make_unique<AutoEngine>(name == "auto+probe",
-                                        memory_budget_bytes, CostModelParams{},
-                                        3, ctx, tuner_options);
-  }
-  return make_engine(name, ctx);
-}
-
-std::unique_ptr<MttkrpEngine> make_named_engine(
-    const CooTensor& tensor, const std::string& name, index_t rank,
-    std::size_t memory_budget_bytes) {
-  auto engine = make_named_engine_unprepared(name, memory_budget_bytes);
-  engine->prepare(tensor, rank);
-  return engine;
+  ctx.mem_budget = options.memory_budget_bytes;
+  const std::string& name = options.engine_name;
+  if (name != "auto" && name != "auto+probe") return make_engine(name, ctx);
+  TunerOptions tuner;
+  tuner.use_history = options.use_history && options.history != nullptr;
+  tuner.history = options.history;
+  tuner.trust.min_weight = options.history_min_weight;
+  return std::make_unique<AutoEngine>(name == "auto+probe",
+                                      options.memory_budget_bytes,
+                                      CostModelParams{}, 3, ctx, tuner);
 }
 
 }  // namespace
 
-std::unique_ptr<MttkrpEngine> make_engine(const CooTensor& tensor,
-                                          EngineKind kind, index_t rank,
-                                          std::size_t memory_budget_bytes) {
-  return make_named_engine(tensor, engine_kind_name(kind), rank,
-                           memory_budget_bytes);
-}
-
 CpAlsResult cp_als(const CooTensor& tensor, const CpAlsOptions& options) {
-  const std::string name = options.engine_name.empty()
-                               ? engine_kind_name(options.engine)
-                               : options.engine_name;
-  const auto engine = make_named_engine_unprepared(
-      name, options.memory_budget_bytes, tuner_options_from(options));
+  const auto engine = make_options_engine(options);
   return cp_als(tensor, *engine, options);
 }
 
 CpAlsResult cp_als_best_of(const CooTensor& tensor,
                            const CpAlsOptions& options, int num_starts) {
   MDCP_CHECK_MSG(num_starts > 0, "need at least one start");
-  const std::string name = options.engine_name.empty()
-                               ? engine_kind_name(options.engine)
-                               : options.engine_name;
-  const auto engine = make_named_engine_unprepared(
-      name, options.memory_budget_bytes, tuner_options_from(options));
+  const auto engine = make_options_engine(options);
   CpAlsResult best;
   for (int s = 0; s < num_starts; ++s) {
     CpAlsOptions opt = options;

@@ -10,6 +10,40 @@
 
 namespace mdcp {
 
+namespace {
+
+std::vector<mode_t> natural_order(mode_t order) {
+  std::vector<mode_t> o(order);
+  std::iota(o.begin(), o.end(), mode_t{0});
+  return o;
+}
+
+std::unique_ptr<DTreeMttkrpEngine> make_prepared(const CooTensor& tensor,
+                                                 TreeShape shape,
+                                                 const char* name,
+                                                 KernelContext ctx) {
+  auto engine = std::make_unique<DTreeMttkrpEngine>(shape, name, ctx);
+  engine->prepare(tensor);
+  return engine;
+}
+
+}  // namespace
+
+TreeSpec flat_shape(mode_t order) {
+  return TreeSpec::flat(natural_order(order));
+}
+
+TreeSpec three_level_shape(mode_t order) {
+  return TreeSpec::three_level(natural_order(order),
+                               static_cast<mode_t>((order + 1) / 2));
+}
+
+TreeSpec bdt_shape(mode_t order) { return TreeSpec::bdt(natural_order(order)); }
+
+DTreeMttkrpEngine::DTreeMttkrpEngine(TreeShape shape, std::string display_name,
+                                     KernelContext ctx)
+    : MttkrpEngine(ctx), shape_(shape), name_(std::move(display_name)) {}
+
 DTreeMttkrpEngine::DTreeMttkrpEngine(TreeSpec spec, std::string display_name,
                                      KernelContext ctx)
     : MttkrpEngine(ctx), spec_(std::move(spec)), name_(std::move(display_name)) {}
@@ -23,6 +57,7 @@ DTreeMttkrpEngine::DTreeMttkrpEngine(const CooTensor& tensor,
 }
 
 void DTreeMttkrpEngine::do_prepare(index_t rank) {
+  if (shape_ != nullptr) spec_ = shape_(tensor().order());
   tree_ = std::make_unique<DimensionTree>(tensor(), spec_);
   rank_ = 0;
   peak_bytes_ = memory_bytes();
@@ -91,33 +126,19 @@ std::size_t DTreeMttkrpEngine::memory_bytes() const {
   return tree_->symbolic_bytes() + tree_->value_bytes();
 }
 
-namespace {
-std::vector<mode_t> natural_order(const CooTensor& t) {
-  std::vector<mode_t> o(t.order());
-  std::iota(o.begin(), o.end(), mode_t{0});
-  return o;
-}
-}  // namespace
-
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_flat(const CooTensor& tensor,
                                                    KernelContext ctx) {
-  return std::make_unique<DTreeMttkrpEngine>(
-      tensor, TreeSpec::flat(natural_order(tensor)), "dtree-flat", ctx);
+  return make_prepared(tensor, flat_shape, "dtree-flat", ctx);
 }
 
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_three_level(
     const CooTensor& tensor, KernelContext ctx) {
-  const auto order = natural_order(tensor);
-  return std::make_unique<DTreeMttkrpEngine>(
-      tensor,
-      TreeSpec::three_level(order, static_cast<mode_t>((order.size() + 1) / 2)),
-      "dtree-3lvl", ctx);
+  return make_prepared(tensor, three_level_shape, "dtree-3lvl", ctx);
 }
 
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_bdt(const CooTensor& tensor,
                                                   KernelContext ctx) {
-  return std::make_unique<DTreeMttkrpEngine>(
-      tensor, TreeSpec::bdt(natural_order(tensor)), "dtree-bdt", ctx);
+  return make_prepared(tensor, bdt_shape, "dtree-bdt", ctx);
 }
 
 }  // namespace mdcp

@@ -17,10 +17,23 @@
 
 namespace mdcp {
 
+/// A tree shape as a function of the tensor's order, so an engine can be
+/// named before its tensor is known. The canonical shapes below use the
+/// natural mode order 0..N-1.
+using TreeShape = TreeSpec (*)(mode_t order);
+TreeSpec flat_shape(mode_t order);
+TreeSpec three_level_shape(mode_t order);  ///< split at ⌈N/2⌉
+TreeSpec bdt_shape(mode_t order);
+
 class DTreeMttkrpEngine final : public MttkrpEngine {
  public:
-  /// Deferred form: the tree is built by prepare(). `display_name` appears
-  /// in logs and benchmark tables ("dtree-bdt", "dtree-flat", ...).
+  /// Shape form: prepare() builds the tree `shape(tensor.order())`.
+  /// `display_name` appears in logs and benchmark tables ("dtree-bdt",
+  /// "dtree-flat", ...).
+  DTreeMttkrpEngine(TreeShape shape, std::string display_name,
+                    KernelContext ctx = {});
+  /// Fixed-spec form: prepare() builds the tree `spec` (the tuner's chosen
+  /// strategy); the spec must cover the prepared tensor's modes.
   explicit DTreeMttkrpEngine(TreeSpec spec, std::string display_name = "dtree",
                              KernelContext ctx = {});
   /// Convenience: construct and prepare in one step. The tensor must outlive
@@ -35,6 +48,7 @@ class DTreeMttkrpEngine final : public MttkrpEngine {
   std::size_t peak_memory_bytes() const override { return peak_bytes_; }
 
   const DimensionTree& tree() const { return *tree_; }
+  /// The spec of the prepared tree (shape form: empty before prepare()).
   const TreeSpec& spec() const noexcept { return spec_; }
 
  protected:
@@ -43,6 +57,7 @@ class DTreeMttkrpEngine final : public MttkrpEngine {
                   Matrix& out) override;
 
  private:
+  TreeShape shape_ = nullptr;  ///< null = fixed spec_
   TreeSpec spec_;
   std::unique_ptr<DimensionTree> tree_;
   std::string name_;
@@ -50,8 +65,8 @@ class DTreeMttkrpEngine final : public MttkrpEngine {
   std::size_t peak_bytes_ = 0;
 };
 
-/// Convenience factories for the three canonical shapes, using the natural
-/// mode order 0..N-1.
+/// Convenience factories for the three canonical shapes, prepared for
+/// `tensor`.
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_flat(const CooTensor& tensor,
                                                    KernelContext ctx = {});
 std::unique_ptr<DTreeMttkrpEngine> make_dtree_three_level(

@@ -8,7 +8,7 @@
 //   mdcp::CooTensor x = mdcp::read_tns_file("data.tns");
 //   mdcp::CpAlsOptions opt;
 //   opt.rank = 16;
-//   opt.engine = mdcp::EngineKind::kAuto;   // model-driven strategy choice
+//   opt.engine_name = "auto";   // model-driven strategy choice
 //   auto result = mdcp::cp_als(x, opt);
 //   // result.model.{weights,factors}, result.fits, result.*_seconds
 #pragma once
@@ -34,7 +34,6 @@
 #include "mttkrp/coo_mttkrp.hpp"
 #include "mttkrp/engine.hpp"
 #include "mttkrp/registry.hpp"
-#include "mttkrp/ttv_chain.hpp"
 #include "obs/clock.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/history.hpp"

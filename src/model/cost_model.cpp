@@ -219,13 +219,6 @@ std::size_t predict_engine_footprint(const CooTensor& tensor,
          sizeof(real_t);
     b += static_cast<std::size_t>(threads) * mk::padded_rank(rank) *
          sizeof(real_t);
-  } else if (engine == "ttv-chain") {
-    // Every worker thread owns a full working copy of the tuples: two index
-    // arrays per mode (idx/idx2), two value arrays, and a sort permutation.
-    const std::size_t per_thread =
-        static_cast<std::size_t>(nnz) *
-        (2 * order * sizeof(index_t) + 2 * sizeof(real_t) + sizeof(nnz_t));
-    b += static_cast<std::size_t>(threads) * per_thread;
   } else if (engine == "csf") {
     for (mode_t m = 0; m < order; ++m) b += csf_tree_bytes(tensor, m, counter);
     b += static_cast<std::size_t>(threads) * order * rank * sizeof(real_t);
@@ -251,13 +244,11 @@ double predict_engine_seconds(const CooTensor& tensor,
   const double n = static_cast<double>(tensor.nnz());
   const double r = static_cast<double>(rank);
   // Rank-blocked engines issue whole SIMD lanes, so their flop term uses
-  // the padded rank; ttv-chain contracts column-at-a-time (no rank loop)
-  // and keeps the true r.
+  // the padded rank.
   const double rv = static_cast<double>(mk::padded_rank(rank));
   const double ord = static_cast<double>(tensor.order());
   // Per-sweep (all modes) element work; the relative weights express the
-  // well-known ordering coo ≈ bcoo > csf (fiber sharing) ≪ ttv-chain
-  // (re-contracts the whole tensor per column).
+  // well-known ordering coo ≈ bcoo > csf (fiber sharing).
   double flops = 0;
   if (engine == "coo" || engine == "bcoo") {
     flops = ord * n * rv * ord;
@@ -268,8 +259,6 @@ double predict_engine_seconds(const CooTensor& tensor,
     flops = ord * n * (rv * ord + ord);
   } else if (engine == "csf" || engine == "csf1") {
     flops = ord * n * rv * 2;  // fiber sharing amortizes the Hadamard chain
-  } else if (engine == "ttv-chain") {
-    flops = ord * n * r * ord * 2;  // + per-column collapse sorting costs
   } else {
     MDCP_CHECK_MSG(false, "predict_engine_seconds: unknown fixed engine '"
                               << engine << "'");

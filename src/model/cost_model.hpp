@@ -80,13 +80,13 @@ StrategyPrediction predict_strategy(const CooTensor& tensor,
 
 /// Coarse resident-footprint envelope for one of the fixed (non-dimension-
 /// tree) engines — the degradation-chain side of the model. Covers the
-/// engine's persistent structures (scatter plans, CSF tries, per-thread
-/// tuple copies, linearized key streams) plus the worst-case transient the
-/// parallel schedule may claim (privatized partial-output slabs, partition
-/// accumulator windows). `engine` is a registry name:
-/// "coo", "bcoo", "alto", "ttv-chain", "csf", or "csf1". A ProjectionCounter
-/// sharpens the CSF/scatter-plan estimates with distinct-prefix counts;
-/// without one, per-level fiber counts fall back to the nnz upper bound.
+/// engine's persistent structures (scatter plans, CSF tries, linearized
+/// key streams) plus the worst-case transient the parallel schedule may
+/// claim (privatized partial-output slabs, partition accumulator windows).
+/// `engine` is a registry name: "coo", "bcoo", "alto", "csf", or "csf1". A
+/// ProjectionCounter sharpens the CSF/scatter-plan estimates with
+/// distinct-prefix counts; without one, per-level fiber counts fall back to
+/// the nnz upper bound.
 /// `sched_mode` narrows the envelope: pinning owner-computes drops the
 /// privatized-slab term, which is how the AutoEngine keeps the last resorts
 /// of its chain viable under tight budgets.

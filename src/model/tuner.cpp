@@ -131,7 +131,10 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
   for (mode_t m = 0; m < tensor.order(); ++m)
     factors.push_back(Matrix::random_uniform(tensor.dim(m), rank, rng));
 
-  ctx.stats = nullptr;  // probe sweeps are tuning overhead, not kernel work
+  // Probe sweeps are tuning overhead, not kernel work: they stay out of the
+  // caller's stats sink. Inside the auto engine's prepare() they run in its
+  // frame, so they count no calls there either.
+  ctx.stats = nullptr;
   double best_time = -1;
   std::size_t best_idx = report.chosen;
   int probed = 0;
@@ -218,8 +221,9 @@ void AutoEngine::do_prepare(index_t rank) {
   if (context().mem_budget != 0 &&
       (memory_budget_bytes_ == 0 || context().mem_budget < memory_budget_bytes_))
     memory_budget_bytes_ = context().mem_budget;
+  if (memory_budget_bytes_ != 0)
+    workspace().set_budget_bytes(memory_budget_bytes_);
   KernelContext inner_ctx = context();
-  inner_ctx.stats = nullptr;  // outer NVI already records totals
   inner_ctx.mem_budget = memory_budget_bytes_;
   // Predict under the thread budget the kernels will actually run with, so
   // the privatization memory/flop terms participate in strategy ranking.
@@ -251,7 +255,7 @@ void AutoEngine::do_prepare(index_t rank) {
   chain_.push_back(std::move(head));
 
   if (memory_budget_bytes_ != 0) {
-    for (const char* fallback : {"alto", "ttv-chain", "csf", "coo"}) {
+    for (const char* fallback : {"alto", "csf", "coo"}) {
       ChainEntry e;
       e.engine = fallback;
       e.label = std::string(prefix) + fallback;
@@ -293,7 +297,6 @@ ScheduleMode AutoEngine::effective_inner_sched() const noexcept {
 
 void AutoEngine::build_inner(index_t rank) {
   KernelContext inner_ctx = context();
-  inner_ctx.stats = nullptr;
   inner_ctx.mem_budget = memory_budget_bytes_;
   for (;;) {
     const ChainEntry& entry = chain_[chain_pos_];
@@ -350,17 +353,16 @@ void AutoEngine::note_degradation(std::size_t from, std::size_t to,
 void AutoEngine::do_compute(mode_t mode, const std::vector<Matrix>& factors,
                             Matrix& out) {
   for (;;) {
-    const KernelStats before = inner_->stats();
     inner_->context().sched = effective_inner_sched();  // forward overrides
     try {
-      inner_->compute(mode, factors, out);
+      inner_->compute(mode, factors, out);  // runs inside this frame
+      return;
     } catch (const budget_error&) {
       if (chain_pos_ + 1 >= chain_.size()) throw;
       note_degradation(chain_pos_, chain_pos_ + 1, "budget-exceeded",
                        /*at_prepare=*/false);
       ++chain_pos_;
       build_inner(rank_hint());
-      continue;
     } catch (const std::bad_alloc&) {
       if (chain_pos_ + 1 >= chain_.size()) {
         std::ostringstream os;
@@ -373,21 +375,7 @@ void AutoEngine::do_compute(mode_t mode, const std::vector<Matrix>& factors,
                        /*at_prepare=*/false);
       ++chain_pos_;
       build_inner(rank_hint());
-      continue;
     }
-    const KernelStats& after = inner_->stats();
-    count_flops(after.flops - before.flops);
-    if (after.last_schedule != 255) {
-      // Mirror the inner engine's schedule telemetry into this engine's
-      // KernelStats; the inner launches already bumped the global metrics.
-      record_schedule({static_cast<sched::Schedule>(after.last_schedule),
-                       after.last_tiles, 0.0, 0, after.last_sched_reason},
-                      after.owner_launches - before.owner_launches,
-                      after.privatized_launches - before.privatized_launches,
-                      /*bump_metrics=*/false);
-    }
-    record_tile(after.last_tile);
-    return;
   }
 }
 

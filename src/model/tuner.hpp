@@ -95,12 +95,13 @@ TunerReport select_strategy_probed(const CooTensor& tensor, index_t rank,
 /// prepare(tensor, rank) runs the model (rank > 0 required — the prediction
 /// is rank-dependent), optionally probes the shortlist, then builds and
 /// prepares the winning dimension-tree engine. name() reports
-/// "auto:<strategy>" (or "auto+probe:<strategy>") once prepared.
+/// "auto:<strategy>" (or "auto+probe:<strategy>") once prepared. The chosen
+/// engine (and every probe sweep) runs inside this engine's instrumentation
+/// frame, so each MTTKRP is counted once, in this engine's KernelStats.
 ///
 /// Under a memory budget (KernelContext::mem_budget or the constructor
 /// argument) the engine also plans a degradation chain: the dtree winner,
-/// then the fixed fallbacks alto → ttv-chain → csf → coo, each annotated
-/// with its
+/// then the fixed fallbacks alto → csf → coo, each annotated with its
 /// predicted footprint. Levels the model predicts over budget are skipped up
 /// front ("predicted-over-budget"); a budget_error or bad_alloc escaping the
 /// active level at prepare or compute time advances the chain and retries

@@ -65,7 +65,26 @@ obs::Counter& degradations_metric() {
   return c;
 }
 
+// The engine whose instrumentation frame is open on this thread (null =
+// none). Only the outermost prepare()/compute() opens one.
+thread_local MttkrpEngine* t_frame = nullptr;
+
+class FrameScope {
+ public:
+  explicit FrameScope(MttkrpEngine* engine) noexcept { t_frame = engine; }
+  ~FrameScope() { t_frame = nullptr; }
+  FrameScope(const FrameScope&) = delete;
+  FrameScope& operator=(const FrameScope&) = delete;
+};
+
 }  // namespace
+
+template <typename F>
+void MttkrpEngine::update_sinks(F&& update) noexcept {
+  MttkrpEngine& owner = t_frame != nullptr ? *t_frame : *this;
+  update(owner.stats_);
+  if (owner.ctx_.stats != nullptr) update(*owner.ctx_.stats);
+}
 
 MttkrpEngine::MttkrpEngine(KernelContext ctx) : ctx_(ctx) {
   if (ctx_.workspace == nullptr) ctx_.workspace = &default_workspace();
@@ -74,12 +93,17 @@ MttkrpEngine::MttkrpEngine(KernelContext ctx) : ctx_(ctx) {
 void MttkrpEngine::prepare(const CooTensor& tensor, index_t rank) {
   tensor_ = &tensor;
   rank_hint_ = rank;
+  if (t_frame != nullptr) {
+    do_prepare(rank);
+    return;
+  }
   // The context budget governs this execution: install it on the arena so
   // over-budget scratch growth fails as a typed budget_error instead of an
   // unbounded allocation.
   if (ctx_.mem_budget != 0) ctx_.workspace->set_budget_bytes(ctx_.mem_budget);
   WallTimer timer;
   {
+    FrameScope frame(this);
     MDCP_TRACE_SPAN(("prepare:" + name()).c_str(), "rank",
                     static_cast<std::int64_t>(rank));
     obs::fr_record(obs::FrEvent::kPrepareBegin, obs::FrPhase::kPrepare,
@@ -93,22 +117,25 @@ void MttkrpEngine::prepare(const CooTensor& tensor, index_t rank) {
   // chosen strategy), so the compute-span label is cached afterwards.
   trace_label_ = "mttkrp:" + name();
   const double secs = timer.seconds();
-  stats_.symbolic_seconds += secs;
-  ++stats_.prepare_calls;
   prepare_calls_metric().add();
   symbolic_seconds_metric().add(secs);
-  if (ctx_.stats != nullptr) {
-    ctx_.stats->symbolic_seconds += secs;
-    ++ctx_.stats->prepare_calls;
-  }
+  update_sinks([&](KernelStats& s) {
+    s.symbolic_seconds += secs;
+    ++s.prepare_calls;
+  });
 }
 
 void MttkrpEngine::compute(mode_t mode, const std::vector<Matrix>& factors,
                            Matrix& out) {
   MDCP_CHECK_MSG(prepared(), "engine " << name()
                                        << ": compute() before prepare()");
+  if (t_frame != nullptr) {
+    do_compute(mode, factors, out);
+    return;
+  }
   WallTimer timer;
   {
+    FrameScope frame(this);
     // PerfRegion doubles as the numeric-phase trace span; with perf enabled
     // it also attaches hardware-counter deltas to the span and to the
     // perf.* metrics (no-ops at two relaxed loads when both are off).
@@ -140,20 +167,15 @@ void MttkrpEngine::compute(mode_t mode, const std::vector<Matrix>& factors,
       out(0, 0) = std::numeric_limits<real_t>::quiet_NaN();
   }
   const double secs = timer.seconds();
-  stats_.numeric_seconds += secs;
-  ++stats_.compute_calls;
-  stats_.peak_scratch_bytes =
-      std::max(stats_.peak_scratch_bytes, ctx_.workspace->peak_bytes());
+  const std::size_t peak = ctx_.workspace->peak_bytes();
   compute_calls_metric().add();
   numeric_seconds_metric().add(secs);
-  peak_scratch_metric().record_max(
-      static_cast<double>(ctx_.workspace->peak_bytes()));
-  if (ctx_.stats != nullptr) {
-    ctx_.stats->numeric_seconds += secs;
-    ++ctx_.stats->compute_calls;
-    ctx_.stats->peak_scratch_bytes = std::max(ctx_.stats->peak_scratch_bytes,
-                                              ctx_.workspace->peak_bytes());
-  }
+  peak_scratch_metric().record_max(static_cast<double>(peak));
+  update_sinks([&](KernelStats& s) {
+    s.numeric_seconds += secs;
+    ++s.compute_calls;
+    s.peak_scratch_bytes = std::max(s.peak_scratch_bytes, peak);
+  });
 }
 
 const CooTensor& MttkrpEngine::tensor() const {
@@ -162,9 +184,8 @@ const CooTensor& MttkrpEngine::tensor() const {
 }
 
 void MttkrpEngine::count_flops(std::uint64_t flops) noexcept {
-  stats_.flops += flops;
   flops_metric().add(flops);
-  if (ctx_.stats != nullptr) ctx_.stats->flops += flops;
+  update_sinks([&](KernelStats& s) { s.flops += flops; });
 }
 
 void MttkrpEngine::record_schedule(const sched::Decision& d) noexcept {
@@ -174,8 +195,7 @@ void MttkrpEngine::record_schedule(const sched::Decision& d) noexcept {
 
 void MttkrpEngine::record_schedule(const sched::Decision& d,
                                    std::uint64_t owner_launches,
-                                   std::uint64_t privatized_launches,
-                                   bool bump_metrics) noexcept {
+                                   std::uint64_t privatized_launches) noexcept {
   MDCP_TRACE_SPAN(d.schedule == sched::Schedule::kPrivatized
                       ? "sched.privatized"
                       : "sched.owner",
@@ -183,44 +203,36 @@ void MttkrpEngine::record_schedule(const sched::Decision& d,
   obs::fr_record(obs::FrEvent::kTileBatch, obs::FrPhase::kCompute,
                  static_cast<std::int64_t>(d.tiles),
                  static_cast<std::int64_t>(d.schedule));
-  if (bump_metrics) {
-    owner_launches_metric().add(owner_launches);
-    privatized_launches_metric().add(privatized_launches);
-  }
-  const auto update = [&](KernelStats& s) {
+  owner_launches_metric().add(owner_launches);
+  privatized_launches_metric().add(privatized_launches);
+  update_sinks([&](KernelStats& s) {
     s.owner_launches += owner_launches;
     s.privatized_launches += privatized_launches;
     s.last_schedule = static_cast<std::uint8_t>(d.schedule);
     s.last_tiles = d.tiles;
     s.last_sched_reason = d.reason;
-  };
-  update(stats_);
-  if (ctx_.stats != nullptr) update(*ctx_.stats);
+  });
 }
 
 void MttkrpEngine::record_tile(index_t tile) noexcept {
   MDCP_TRACE_SPAN("mk.tile", "width", static_cast<std::int64_t>(tile));
-  stats_.last_tile = tile;
-  if (ctx_.stats != nullptr) ctx_.stats->last_tile = tile;
+  update_sinks([&](KernelStats& s) { s.last_tile = tile; });
 }
 
 void MttkrpEngine::record_plan_source(const char* source) noexcept {
   MDCP_TRACE_SPAN("tuner.plan_source", "history",
                   static_cast<std::int64_t>(
                       std::string_view(source) == "history" ? 1 : 0));
-  stats_.plan_source = source;
-  if (ctx_.stats != nullptr) ctx_.stats->plan_source = source;
+  update_sinks([&](KernelStats& s) { s.plan_source = source; });
 }
 
 void MttkrpEngine::record_degradation(const char* reason) noexcept {
   obs::fr_record(obs::FrEvent::kDegradation, obs::FrPhase::kCompute);
-  ++stats_.degradations;
-  stats_.last_degradation_reason = reason;
   degradations_metric().add();
-  if (ctx_.stats != nullptr) {
-    ++ctx_.stats->degradations;
-    ctx_.stats->last_degradation_reason = reason;
-  }
+  update_sinks([&](KernelStats& s) {
+    ++s.degradations;
+    s.last_degradation_reason = reason;
+  });
 }
 
 int MttkrpEngine::effective_threads() const noexcept {

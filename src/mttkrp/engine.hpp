@@ -1,10 +1,9 @@
 // Abstract interface for MTTKRP computation engines.
 //
 // CP-ALS (and the benchmarks) are written against this interface so that the
-// COO baseline, the Tensor-Toolbox-style TTV chain, the SPLATT-style CSF
-// kernel, and the memoized dimension-tree engines are interchangeable — and
-// so the model-driven tuner can swap in whichever strategy it predicts to be
-// fastest.
+// COO baselines, the SPLATT-style CSF kernel, and the memoized
+// dimension-tree engines are interchangeable — and so the model-driven tuner
+// can swap in whichever strategy it predicts to be fastest.
 //
 // Lifecycle: every engine is constructed from a KernelContext (workspace +
 // thread budget + optional stats sink), then runs an explicit two-phase
@@ -21,6 +20,14 @@
 // uniform KernelStats without touching a timer itself. Subclasses implement
 // do_prepare()/do_compute(). The convenience constructors that take a tensor
 // call prepare() immediately; either way the tensor must outlive the engine.
+//
+// One instrumentation frame per call: the outermost prepare()/compute() on a
+// thread opens the frame (span, flight-recorder events, fault sites, thread
+// scope, budget install, call counters). An engine called from inside that
+// frame — the auto engine's chosen strategy, the tuner's probe sweeps — runs
+// its do_prepare()/do_compute() directly, and its flops, schedule, tile and
+// degradation records land in the stats of the engine that opened the frame.
+// Each MTTKRP is therefore counted once, whichever wrapper ran it.
 #pragma once
 
 #include <cstddef>
@@ -76,7 +83,8 @@ class MttkrpEngine {
   /// Peak bytes of auxiliary structures observed so far.
   virtual std::size_t peak_memory_bytes() const { return memory_bytes(); }
 
-  /// Per-engine counters recorded by prepare()/compute().
+  /// Per-engine counters recorded by prepare()/compute(). An engine that
+  /// only ever runs inside another engine's frame keeps these at zero.
   const KernelStats& stats() const noexcept { return stats_; }
 
   KernelContext& context() noexcept { return ctx_; }
@@ -108,12 +116,9 @@ class MttkrpEngine {
 
   /// Bulk form for engines that run a chain of launches before reporting
   /// (the dimension-tree node evaluations): `d` is the last launch's
-  /// decision, the counts cover the whole chain. `bump_metrics` = false
-  /// mirrors into KernelStats only — for wrapper engines whose inner engine
-  /// already recorded the launches into the global metrics registry.
+  /// decision, the counts cover the whole chain.
   void record_schedule(const sched::Decision& d, std::uint64_t owner_launches,
-                       std::uint64_t privatized_launches,
-                       bool bump_metrics = true) noexcept;
+                       std::uint64_t privatized_launches) noexcept;
 
   /// Records how the prepared plan was chosen ("model" or "history"; see
   /// obs/history.hpp) into the stats sinks and the tuner.plan_source trace
@@ -142,6 +147,11 @@ class MttkrpEngine {
   KernelContext ctx_;
 
  private:
+  /// Applies `update` to the stats sinks of the engine whose frame is open
+  /// (this engine when none is): its own KernelStats and the context sink.
+  template <typename F>
+  void update_sinks(F&& update) noexcept;
+
   const CooTensor* tensor_ = nullptr;
   index_t rank_hint_ = 0;
   KernelStats stats_;

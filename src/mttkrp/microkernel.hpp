@@ -349,18 +349,6 @@ class Kernel {
   index_t tile_ = 0;
 };
 
-/// Gather-multiply for the TTV-chain engine: v[i] *= base[idx[i] · stride].
-/// Column access into a row-major factor is strided, so this vectorizes as
-/// a gather; the value array itself is contiguous.
-MDCP_MK_INLINE void gather_scale(real_t* MDCP_MK_RESTRICT v,
-                         const index_t* MDCP_MK_RESTRICT idx,
-                         const real_t* MDCP_MK_RESTRICT base, index_t stride,
-                         nnz_t n) noexcept {
-#pragma omp simd
-  for (nnz_t i = 0; i < n; ++i)
-    v[i] *= base[static_cast<std::size_t>(idx[i]) * stride];
-}
-
 #undef MDCP_MK_DISPATCH
 
 }  // namespace mdcp::mk

@@ -6,9 +6,10 @@
 // KernelContext; callers follow with prepare(tensor, rank) — or use the
 // make_engine overload that does both.
 //
-// Builtin names (registration order):
-//   coo, bcoo, alto, ttv-chain, csf, csf1, dtree-flat, dtree-3lvl,
-//   dtree-bdt, auto, auto+probe
+// The registry is the only way to name an engine. Builtin names
+// (registration order):
+//   coo, bcoo, alto, csf, csf1, dtree-flat, dtree-3lvl, dtree-bdt, auto,
+//   auto+probe
 #pragma once
 
 #include <functional>

@@ -173,7 +173,7 @@ CpAlsOptions small_cp_als_options() {
   opt.rank = 4;
   opt.max_iterations = 4;
   opt.tolerance = 0;
-  opt.engine = EngineKind::kDTreeBdt;
+  opt.engine_name = "dtree-bdt";
   return opt;
 }
 
@@ -200,7 +200,7 @@ TEST_P(DeterminismPerPath, CpAlsWithMultiBlockModeBitwise) {
   const auto t = generate_zipf(shape_t{5000, 30, 40}, 8000, 1.1, 68);
   CpAlsOptions opt = small_cp_als_options();
   opt.rank = 20;
-  opt.engine = EngineKind::kCoo;
+  opt.engine_name = "coo";
   set_num_threads(1);
   const auto r1 = cp_als(t, opt);
   set_num_threads(4);

@@ -157,8 +157,8 @@ void run_order(mode_t order, const shape_t& shape, nnz_t nnz) {
 TEST(Differential, MatrixCoversEveryRegisteredEngine) {
   const auto names = EngineRegistry::instance().names();
   for (const char* expected :
-       {"coo", "bcoo", "alto", "ttv-chain", "csf", "csf1", "dtree-flat",
-        "dtree-3lvl", "dtree-bdt", "auto", "auto+probe"}) {
+       {"coo", "bcoo", "alto", "csf", "csf1", "dtree-flat", "dtree-3lvl",
+        "dtree-bdt", "auto", "auto+probe"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "engine \"" << expected << "\" missing from the registry";
   }

@@ -234,7 +234,7 @@ TEST(DegradationChain, PicksFirstLevelTheModelSaysFits) {
 
 // The planned fallback order is part of the robustness contract: the
 // linearized engine sits directly behind the dtree winner, ahead of the
-// contraction and trie fallbacks, and the terminal last resort stays "coo".
+// trie fallback, and the terminal last resort stays "coo".
 TEST(DegradationChain, PlannedFallbacksFollowDocumentedOrder) {
   const CooTensor t = degradation_tensor();
   const index_t rank = 8;
@@ -249,12 +249,11 @@ TEST(DegradationChain, PlannedFallbacksFollowDocumentedOrder) {
   AutoEngine engine(false, 0, CostModelParams{}, 3, ctx);
   engine.prepare(t, rank);
   const auto& chain = engine.chain();
-  ASSERT_EQ(chain.size(), 5u);
+  ASSERT_EQ(chain.size(), 4u);
   EXPECT_TRUE(chain[0].engine.empty());  // the dtree winner
   EXPECT_EQ(chain[1].engine, "alto");
-  EXPECT_EQ(chain[2].engine, "ttv-chain");
-  EXPECT_EQ(chain[3].engine, "csf");
-  EXPECT_EQ(chain[4].engine, "coo");
+  EXPECT_EQ(chain[2].engine, "csf");
+  EXPECT_EQ(chain[3].engine, "coo");
 
   // On this tensor the budget that evicts the dtree winner still admits the
   // alto level, so the chain must stop there — and the degraded engine's

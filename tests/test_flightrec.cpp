@@ -346,7 +346,7 @@ TEST(Cancel, PreSetFlagStopsBeforeFirstIteration) {
   CpAlsOptions opt;
   opt.rank = 3;
   opt.max_iterations = 20;
-  opt.engine = EngineKind::kCoo;
+  opt.engine_name = "coo";
   opt.cancel = &cancel;
   const CpAlsResult r = cp_als(t, opt);
   EXPECT_TRUE(r.cancelled);
@@ -366,7 +366,7 @@ TEST(Cancel, SummaryRecordsCancelledTrue) {
     CpAlsOptions opt;
     opt.rank = 3;
     opt.max_iterations = 20;
-    opt.engine = EngineKind::kCoo;
+    opt.engine_name = "coo";
     opt.cancel = &cancel;
     opt.reporter = &reporter;
     const CpAlsResult r = cp_als(t, opt);
@@ -551,7 +551,7 @@ TEST(FaultSites, InjectedStallTripsWatchdog) {
   CpAlsOptions opt;
   opt.rank = 3;
   opt.max_iterations = 10;
-  opt.engine = EngineKind::kCoo;
+  opt.engine_name = "coo";
   opt.watchdog.deadline_seconds = 0.2;
   opt.watchdog.poll_seconds = 0.02;
   opt.watchdog.policy = obs::WatchdogPolicy::kCancel;

@@ -59,22 +59,21 @@ inline CooTensor small_tensor(mode_t order, index_t dim, nnz_t nnz,
   return generate_uniform(shape, nnz, seed);
 }
 
-/// All engine kinds that are exact MTTKRPs (everything except kAuto, which
-/// is itself one of the dtree engines under the hood and is tested
-/// separately).
-inline std::vector<EngineKind> exact_engine_kinds() {
-  return {EngineKind::kCoo,           EngineKind::kBlockedCoo,
-          EngineKind::kTtvChain,      EngineKind::kCsf,
-          EngineKind::kCsfOne,        EngineKind::kDTreeFlat,
-          EngineKind::kDTreeThreeLevel, EngineKind::kDTreeBdt};
+/// Every registered engine that is an exact MTTKRP: the registry minus the
+/// auto* engines, which run one of these under the hood and are tested
+/// separately.
+inline std::vector<std::string> exact_engine_names() {
+  std::vector<std::string> names;
+  for (const auto& name : EngineRegistry::instance().names())
+    if (name.rfind("auto", 0) != 0) names.push_back(name);
+  return names;
 }
 
-/// Label-friendly name for parameterized tests.
-inline std::string kind_label(EngineKind k) {
-  std::string s = engine_kind_name(k);
-  for (auto& c : s)
+/// Label-friendly engine name for parameterized tests.
+inline std::string engine_label(std::string name) {
+  for (auto& c : name)
     if (c == '-') c = '_';
-  return s;
+  return name;
 }
 
 }  // namespace mdcp::testing

@@ -160,7 +160,7 @@ TEST(HistoryRoundTrip, CpAlsReportMatchesInProcessObservation) {
   opt.max_iterations = 3;
   opt.tolerance = 0;
   opt.seed = 5;
-  opt.engine = EngineKind::kAuto;
+  opt.engine_name = "auto";
   opt.history = &store;
   {
     obs::RunReporter reporter(path);

@@ -168,23 +168,6 @@ TEST(Microkernel, PaddedRankAndCostScaling) {
   EXPECT_DOUBLE_EQ(mk::flop_scale(0), 1.0);
 }
 
-TEST(Microkernel, GatherScale) {
-  // v[i] *= base[idx[i] * stride] — column access into a row-major matrix.
-  const index_t stride = 5;
-  const index_t rows = 7;
-  std::vector<real_t> base(rows * stride);
-  for (index_t i = 0; i < base.size(); ++i) base[i] = val(i, 9);
-  std::vector<index_t> idx = {3, 0, 6, 6, 1};
-  std::vector<real_t> v(idx.size()), ref(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) v[i] = ref[i] = val(i, 10);
-
-  mk::gather_scale(v.data(), idx.data(), base.data() + 2, stride, v.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    ref[i] *= base[idx[i] * stride + 2];
-    EXPECT_EQ(v[i], ref[i]) << i;
-  }
-}
-
 TEST(Microkernel, AlignedAllocatorContract) {
   // The buffers used throughout this test file rely on aligned_real_vector
   // actually honoring kNumericAlignment.

@@ -16,8 +16,8 @@
 namespace mdcp {
 namespace {
 
-using mdcp::testing::exact_engine_kinds;
-using mdcp::testing::kind_label;
+using mdcp::testing::exact_engine_names;
+using mdcp::testing::engine_label;
 using mdcp::testing::random_factors;
 
 enum class Structure { kUniform, kZipf, kClustered };
@@ -43,7 +43,7 @@ CooTensor make_structured(Structure s, const shape_t& shape, nnz_t nnz,
   return CooTensor(shape);
 }
 
-using Param = std::tuple<EngineKind, mode_t /*order*/, Structure>;
+using Param = std::tuple<std::string, mode_t /*order*/, Structure>;
 
 class EngineEquivalence : public ::testing::TestWithParam<Param> {};
 
@@ -55,7 +55,7 @@ TEST_P(EngineEquivalence, MatchesReferenceEveryMode) {
   const auto t = make_structured(structure, shape, 600, 1000 + order);
   const index_t rank = 6;
   const auto factors = random_factors(t, rank, 12345);
-  const auto engine = make_engine(t, kind, rank);
+  const auto engine = make_engine(kind, t, rank);
 
   Matrix got, want;
   for (mode_t m = 0; m < order; ++m) {
@@ -70,7 +70,7 @@ TEST_P(EngineEquivalence, MatchesReferenceEveryMode) {
 
 std::vector<Param> all_params() {
   std::vector<Param> p;
-  for (EngineKind k : exact_engine_kinds()) {
+  for (const std::string& k : exact_engine_names()) {
     for (mode_t order : {2, 3, 4, 5, 6}) {
       for (Structure s :
            {Structure::kUniform, Structure::kZipf, Structure::kClustered}) {
@@ -82,7 +82,7 @@ std::vector<Param> all_params() {
 }
 
 std::string param_label(const ::testing::TestParamInfo<Param>& info) {
-  return kind_label(std::get<0>(info.param)) + "_order" +
+  return engine_label(std::get<0>(info.param)) + "_order" +
          std::to_string(std::get<1>(info.param)) + "_" +
          structure_name(std::get<2>(info.param));
 }
@@ -91,13 +91,13 @@ INSTANTIATE_TEST_SUITE_P(AllEnginesOrdersStructures, EngineEquivalence,
                          ::testing::ValuesIn(all_params()), param_label);
 
 class EngineRankSweep
-    : public ::testing::TestWithParam<std::tuple<EngineKind, index_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, index_t>> {};
 
 TEST_P(EngineRankSweep, MatchesReferenceAcrossRanks) {
   const auto [kind, rank] = GetParam();
   const auto t = generate_zipf(shape_t{14, 18, 22, 26}, 700, 1.1, 777);
   const auto factors = random_factors(t, rank, 4242);
-  const auto engine = make_engine(t, kind, rank);
+  const auto engine = make_engine(kind, t, rank);
   Matrix got, want;
   for (mode_t m = 0; m < t.order(); ++m) {
     engine->compute(m, factors, got);
@@ -108,14 +108,14 @@ TEST_P(EngineRankSweep, MatchesReferenceAcrossRanks) {
 }
 
 std::string rank_label(
-    const ::testing::TestParamInfo<std::tuple<EngineKind, index_t>>& info) {
-  return kind_label(std::get<0>(info.param)) + "_rank" +
+    const ::testing::TestParamInfo<std::tuple<std::string, index_t>>& info) {
+  return engine_label(std::get<0>(info.param)) + "_rank" +
          std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Ranks, EngineRankSweep,
-    ::testing::Combine(::testing::ValuesIn(exact_engine_kinds()),
+    ::testing::Combine(::testing::ValuesIn(exact_engine_names()),
                        ::testing::Values(index_t{1}, index_t{2}, index_t{7},
                                          index_t{17})),
     rank_label);
@@ -124,8 +124,8 @@ TEST(EngineEdgeCases, SingleNonzero) {
   CooTensor t(shape_t{4, 5, 6});
   t.push_back(std::array<index_t, 3>{1, 2, 3}, 2.5);
   const auto factors = random_factors(t, 3, 5);
-  for (EngineKind k : exact_engine_kinds()) {
-    const auto engine = make_engine(t, k, 3);
+  for (const std::string& k : exact_engine_names()) {
+    const auto engine = make_engine(k, t, 3);
     Matrix got, want;
     for (mode_t m = 0; m < 3; ++m) {
       engine->compute(m, factors, got);
@@ -141,8 +141,8 @@ TEST(EngineEdgeCases, NegativeAndZeroValues) {
   t.push_back(std::array<index_t, 3>{1, 1, 1}, 0.0);
   t.push_back(std::array<index_t, 3>{2, 2, 2}, 3.0);
   const auto factors = random_factors(t, 4, 6);
-  for (EngineKind k : exact_engine_kinds()) {
-    const auto engine = make_engine(t, k, 4);
+  for (const std::string& k : exact_engine_names()) {
+    const auto engine = make_engine(k, t, 4);
     Matrix got, want;
     engine->compute(1, factors, got);
     mttkrp_reference(t, factors, 1, want);
@@ -153,7 +153,7 @@ TEST(EngineEdgeCases, NegativeAndZeroValues) {
 TEST(EngineEdgeCases, FactorValidationErrors) {
   const auto t = generate_uniform(shape_t{5, 6, 7}, 40, 8);
   auto factors = random_factors(t, 3, 7);
-  const auto engine = make_engine(t, EngineKind::kCoo, 3);
+  const auto engine = make_engine("coo", t, 3);
   Matrix out;
 
   auto wrong_count = factors;
@@ -173,7 +173,7 @@ TEST(EngineEdgeCases, AutoEngineIsExact) {
   const auto t = generate_clustered(shape_t{50, 60, 70, 80}, 1500,
                                     {.clusters = 6, .spread = 2.0}, 99);
   const auto factors = random_factors(t, 5, 31);
-  const auto engine = make_engine(t, EngineKind::kAuto, 5);
+  const auto engine = make_engine("auto", t, 5);
   EXPECT_EQ(engine->name().rfind("auto:", 0), 0u) << engine->name();
   Matrix got, want;
   for (mode_t m = 0; m < t.order(); ++m) {

@@ -698,7 +698,7 @@ TEST(Report, RunReportMatchesGoldenSchema) {
   opt.max_iterations = 3;
   opt.tolerance = 0;  // fixed iteration count
   opt.seed = 99;
-  opt.engine = EngineKind::kDTreeBdt;
+  opt.engine_name = "dtree-bdt";
   {
     obs::RunReporter reporter(path);
     ASSERT_TRUE(reporter.ok());

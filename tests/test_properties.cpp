@@ -129,7 +129,7 @@ TEST(MttkrpIdentities, ScalingAFactorScalesOutput) {
   // Scaling factor U^(j) (j ≠ output mode) by c scales the MTTKRP by c.
   const auto t = generate_uniform(shape_t{8, 9, 10, 11}, 200, 2600);
   auto factors = random_factors(t, 3, 2601);
-  const auto engine = make_engine(t, EngineKind::kDTreeBdt, 3);
+  const auto engine = make_engine("dtree-bdt", t, 3);
   Matrix base, scaled;
   engine->compute(0, factors, base);
   for (std::size_t e = 0; e < factors[2].size(); ++e)

@@ -8,6 +8,7 @@
 
 #include "mttkrp/microkernel.hpp"
 #include "mttkrp/registry.hpp"
+#include "obs/metrics.hpp"
 #include "tensor/generator.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -21,9 +22,8 @@ using mdcp::testing::random_factors;
 
 TEST(Registry, BuiltinNamesInCanonicalOrder) {
   const std::vector<std::string> expect{
-      "coo",        "bcoo",       "alto",       "ttv-chain", "csf",
-      "csf1",       "dtree-flat", "dtree-3lvl", "dtree-bdt", "auto",
-      "auto+probe"};
+      "coo",        "bcoo",      "alto", "csf",       "csf1",
+      "dtree-flat", "dtree-3lvl", "dtree-bdt", "auto", "auto+probe"};
   EXPECT_EQ(EngineRegistry::instance().names(), expect);
   for (const auto& name : expect)
     EXPECT_TRUE(EngineRegistry::instance().contains(name)) << name;
@@ -129,6 +129,37 @@ TEST(Runtime, StatsRecordPhasesAndFlops) {
   EXPECT_EQ(sink.prepare_calls, s.prepare_calls);
   EXPECT_EQ(sink.compute_calls, s.compute_calls);
   EXPECT_EQ(sink.flops, s.flops);
+}
+
+TEST(Runtime, EveryEngineCountsEachMttkrpOnce) {
+  // One CP-ALS run of K iterations on an order-N tensor makes N·K MTTKRPs
+  // and one prepare, whichever engine runs them: a wrapper engine (auto,
+  // auto+probe) must not count its inner engine's calls a second time, and
+  // the global flop counter must agree with the engine's own.
+  const auto t = generate_zipf(shape_t{30, 40, 50, 60}, 2000, 1.1, 321);
+  auto& metrics = obs::MetricsRegistry::instance();
+  const obs::Counter& computes = metrics.counter("kernel.compute_calls");
+  const obs::Counter& prepares = metrics.counter("kernel.prepare_calls");
+  const obs::Counter& flops = metrics.counter("kernel.flops");
+  CpAlsOptions opt;
+  opt.rank = 6;
+  opt.max_iterations = 3;
+  opt.tolerance = 0;
+  const std::uint64_t expect_calls =
+      static_cast<std::uint64_t>(t.order()) * opt.max_iterations;
+  for (const auto& name : EngineRegistry::instance().names()) {
+    opt.engine_name = name;
+    const std::uint64_t computes0 = computes.value();
+    const std::uint64_t prepares0 = prepares.value();
+    const std::uint64_t flops0 = flops.value();
+    const CpAlsResult r = cp_als(t, opt);
+    ASSERT_EQ(r.iterations, opt.max_iterations) << name;
+    EXPECT_EQ(computes.value() - computes0, expect_calls) << name;
+    EXPECT_EQ(prepares.value() - prepares0, 1u) << name;
+    EXPECT_EQ(flops.value() - flops0, r.kernel_stats.flops) << name;
+    EXPECT_EQ(r.kernel_stats.compute_calls, expect_calls) << name;
+    EXPECT_EQ(r.kernel_stats.prepare_calls, 1u) << name;
+  }
 }
 
 TEST(Runtime, InjectedWorkspaceIsUsedForScratch) {
@@ -248,9 +279,9 @@ TEST(Runtime, MatrixStorageHonorsMicrokernelAlignment) {
 }
 
 TEST(Runtime, EnginesRecordMicrokernelTile) {
-  // Every rank-blocked engine reports the tile its last compute dispatched;
-  // ttv-chain truthfully reports 0 (its parallelism is column-wise, there is
-  // no rank-blocked inner loop). The auto engine mirrors its inner choice.
+  // Every engine is rank-blocked and reports the tile its last compute
+  // dispatched. The auto engine's inner engine records into the auto
+  // engine's stats.
   const auto t = testing::small_tensor(3, 10, 80, 401);
   for (const auto rank : {index_t{7}, index_t{16}, index_t{33}}) {
     const auto factors = random_factors(t, rank, 402 + rank);
@@ -259,9 +290,7 @@ TEST(Runtime, EnginesRecordMicrokernelTile) {
       const auto engine = make_engine(name, t, rank);
       Matrix out;
       engine->compute(0, factors, out);
-      const std::uint32_t expect =
-          name == "ttv-chain" ? 0u : mk::select_tile(rank);
-      EXPECT_EQ(engine->stats().last_tile, expect)
+      EXPECT_EQ(engine->stats().last_tile, mk::select_tile(rank))
           << name << " rank " << rank;
     }
   }

@@ -574,11 +574,9 @@ int cmd_profile(const Args& args) {
   std::vector<std::string> engines;
   const std::string engines_arg = args.get("engines");
   if (engines_arg.empty()) {
-    // The chain baseline and the probing selector are excluded by default:
-    // one is orders of magnitude slower, the other benchmarks itself.
+    // The probing selector is excluded by default: it benchmarks itself.
     for (const auto& name : EngineRegistry::instance().names())
-      if (name != "ttv-chain" && name != "auto+probe")
-        engines.push_back(name);
+      if (name != "auto+probe") engines.push_back(name);
   } else {
     std::size_t pos = 0;
     while (pos <= engines_arg.size()) {
